@@ -6,8 +6,7 @@ lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
 (command, resolved arguments, seed, version, timestamp, input digests);
 apart from the timestamp, reruns with the same arguments are byte-identical.
 All randomness flows from the --seed value through Philox counter-based
-generators, so trial sweeps are reproducible and parallel runs match serial
-ones.  PARASTAT_THREADS caps sweep workers (default 1).
+generators, so each seeded trial sweep is reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -32,13 +30,6 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PARASTAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _digest(path) -> str:
@@ -124,15 +115,13 @@ def cmd_verify_r(args) -> int:
     ]
     factors = rmatrix.is_trivial_product(r, max(tol, 1e-10))
     nontrivial = factors is None
+    inv = rmatrix.spectral_invariants(r)
     payload = {
         "manifest": _manifest(args, inputs),
         "m": r.m,
         "checks": [rep.as_dict() for rep in reports],
         "nontrivial": nontrivial,
-        "spectral_invariants": {
-            "trace": rmatrix.spectral_invariants(r)["trace"],
-            "eigenvalues": rmatrix.spectral_invariants(r)["eigenvalues"],
-        },
+        "spectral_invariants": {"trace": inv["trace"], "eigenvalues": inv["eigenvalues"]},
     }
     _emit(args, payload)
     ok = all(rep.passed for rep in reports) and nontrivial
@@ -207,9 +196,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_twist(args) -> int:
     r, inputs = _load_r(args)
-    result = game.twist_experiment(
-        r, range(args.n_max + 1), args.trials, args.seed, workers=_workers()
-    )
+    result = game.twist_experiment(r, range(args.n_max + 1), args.trials, args.seed)
     payload = {
         "manifest": _manifest(args, inputs),
         "success_rate": result["success_rate"],
@@ -226,7 +213,7 @@ def cmd_noise_sweep(args) -> int:
         L=args.L, r=r, a=1, b=1, seed=args.seed,
         noise_p=args.p, noise_d=args.noise_d, noise_l=args.noise_l,
     )
-    curve = game.noise_experiment(cfg, args.trials, args.seed, workers=_workers())
+    curve = game.noise_experiment(cfg, args.trials, args.seed)
     payload = {"manifest": _manifest(args, inputs), "curve": curve}
     rows = [{"distance": pt["distance"], "success_rate": pt["success_rate"]}
             for pt in curve]
@@ -284,6 +271,24 @@ def cmd_gauge_check(args) -> int:
 # argument parsing
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _probability(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _add_r_source(p):
     p.add_argument("--builtin", help="paper2d, paper3d, trivial{m}, or braid-fixture")
     p.add_argument("--input", help="R-matrix JSON file")
@@ -318,17 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twist", help="repeated-exchange experiment")
     _add_r_source(p)
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--n-max", type=_int_at_least(0), default=7)
+    p.add_argument("--trials", type=_int_at_least(1), default=10000)
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("noise-sweep", help="decode success vs corner standoff")
     _add_r_source(p)
-    p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--p", type=_probability, default=0.2)
+    p.add_argument("--trials", type=_int_at_least(1), default=2000)
     p.add_argument("--L", type=int, default=20)
-    p.add_argument("--noise-d", type=int, default=1)
-    p.add_argument("--noise-l", type=int, default=2)
+    p.add_argument("--noise-d", type=_int_at_least(0), default=1)
+    p.add_argument("--noise-l", type=_int_at_least(0), default=2)
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("gauge-check", help="lattice-gauge validation suite")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parafock as pf
-from .rmatrix import RMatrix, as_map, is_trivial_product
+from .rmatrix import RMatrix, as_map
 
 
 class GameError(ValueError):
@@ -42,7 +42,6 @@ class GameConfig:
     noise_p: float = 0.0
     noise_d: int = 1
     noise_l: int = 2
-    repair_retries: int = 3
 
     def __post_init__(self):
         if self.L < 6 * self.r0:
@@ -100,55 +99,71 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 # decode and information measures
 
 
+def _outcome_probs(r: RMatrix) -> np.ndarray:
+    """Born-rule probabilities of one exchange, p[a*m + b, b'*m + a'] (0-based)."""
+    p = np.abs(as_map(r).astype(np.complex128)).T ** 2
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
+        raise GameError("R-matrix columns not normalized (is it unitary?)")
+    return p
+
+
 def outcome_distribution(r: RMatrix, a: int, b: int) -> dict:
     """Born-rule distribution over measured (a', b') after one exchange."""
-    e = np.abs(np.asarray(r.entries, dtype=np.complex128)) ** 2
-    dist = {}
-    for bp in range(r.m):
-        for ap in range(r.m):
-            w = float(e[bp, ap, a - 1, b - 1])
-            if w > 0:
-                dist[(ap + 1, bp + 1)] = w
-    total = sum(dist.values())
-    if abs(total - 1.0) > 1e-12:
-        raise GameError("R-matrix columns not normalized (is it unitary?)")
-    return dist
+    m = r.m
+    row = _outcome_probs(r)[(a - 1) * m + b - 1]
+    support = np.flatnonzero(row > 0).tolist()
+    return {(k % m + 1, k // m + 1): float(row[k]) for k in support}
 
 
-def _deterministic(r: RMatrix) -> bool:
-    e = np.asarray(r.entries)
-    counts = (np.abs(e) > 0).reshape(r.m * r.m, r.m * r.m).sum(axis=0)
-    return bool(np.all(counts == 1))
+def _decode_tables(r: RMatrix) -> np.ndarray:
+    """Alice's and Bob's decode maps, tables[0][a, a'] and tables[1][b, b'] (0-based).
+
+    An entry is the flat index partner * m + partner_observation of the
+    unique nonzero exchange entry at (b', a', a, b), or -1 where there is no
+    unique one.  Both maps are -2 throughout when R is not deterministic
+    (some column (a, b) has more than one outcome).
+    """
+    m = r.m
+    nz = np.asarray(r.entries) != 0  # [b', a', a, b]
+    if np.any(nz.reshape(m * m, m * m).sum(axis=0) != 1):
+        return np.full((2, m, m), -2)
+    # Alice's view [a, a', b, b'], Bob's [b, b', a, a']
+    views = np.stack([nz.transpose(2, 1, 3, 0), nz.transpose(3, 0, 2, 1)])
+    views = views.reshape(2, m, m, m * m)
+    return np.where(views.sum(axis=3) == 1, views.argmax(axis=3), -1)
 
 
 def decode(r: RMatrix, who: str, own: int, observed: int) -> tuple[int, int]:
     """Recover the partner's (number, observation) from one's own pair.
 
-    Alice holds (a, a') and scans the exchange table for the unique (b, b')
-    with a nonzero entry at (b', a', a, b); Bob symmetrically.
+    Alice holds (a, a') and looks up the unique (b, b') with a nonzero entry
+    at (b', a', a, b); Bob symmetrically.
     """
-    if who not in ("Alice", "Bob"):
+    players = ("Alice", "Bob")
+    if who not in players:
         raise GameError("who must be Alice or Bob")
-    if not _deterministic(r):
+    hit = int(_decode_tables(r)[players.index(who), own - 1, observed - 1])
+    if hit == -2:
         raise GameError("use outcome_distribution instead")
-    e = np.asarray(r.entries)
-    m = r.m
-    hits = []
-    if who == "Alice":
-        a, ap = own, observed
-        for b in range(1, m + 1):
-            for bp in range(1, m + 1):
-                if e[bp - 1, ap - 1, a - 1, b - 1] != 0:
-                    hits.append((b, bp))
-    else:
-        b, bp = own, observed
-        for a in range(1, m + 1):
-            for ap in range(1, m + 1):
-                if e[bp - 1, ap - 1, a - 1, b - 1] != 0:
-                    hits.append((a, ap))
-    if len(hits) != 1:
+    if hit < 0:
         raise GameError("R not perfect")
-    return hits[0]
+    return hit // r.m + 1, hit % r.m + 1
+
+
+def _guesses(hits: np.ndarray, m: int, rng) -> np.ndarray:
+    """Partner numbers (1-based) from decode-table hits.  Each player whose
+    decode failed (negative hit) guesses uniformly instead."""
+    guesses = hits // m + 1
+    failed = hits < 0
+    guesses[failed] = rng.integers(1, m + 1, size=np.count_nonzero(failed))
+    return guesses
+
+
+def _draw(probs: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF sample of a column index per row of a probability matrix."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= rng.random(len(cdf))[:, None], axis=1)
 
 
 def mutual_information(r: RMatrix) -> dict:
@@ -272,15 +287,9 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     tr.log("measure", corner="s", outcome=a_prime)
     tr.log("measure", corner="o", outcome=b_prime)
 
-    m = r.m
-    try:
-        alice_guess, _ = decode(r, "Alice", cfg.a, a_prime)
-    except GameError:
-        alice_guess = int(rng.integers(1, m + 1))
-    try:
-        bob_guess, _ = decode(r, "Bob", cfg.b, b_prime)
-    except GameError:
-        bob_guess = int(rng.integers(1, m + 1))
+    alice, bob = _decode_tables(r)
+    hits = np.array([alice[cfg.a - 1, a_prime - 1], bob[cfg.b - 1, b_prime - 1]])
+    alice_guess, bob_guess = _guesses(hits, r.m, rng).tolist()
     tr.alice_guess, tr.bob_guess = alice_guess, bob_guess
 
     state = pf.annihilate(state, _pos(lat.s), a_prime, "back")
@@ -299,9 +308,7 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
 
 def _sample(dist: dict, rng) -> int:
     keys = sorted(dist)
-    weights = np.array([dist[k] for k in keys])
-    idx = rng.choice(len(keys), p=weights / weights.sum())
-    return keys[int(idx)]
+    return keys[int(_draw(np.array([[dist[k] for k in keys]]), rng)[0])]
 
 
 def run_all_pairs(base: GameConfig):
@@ -327,30 +334,20 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     transport, which run_protocol has already validated to be equivalent.
     """
     m = r.m
-    wins = 0
-    for t in range(trials):
-        rng = _rng(seed, 1, t)
-        a = int(rng.integers(1, m + 1))
-        b = int(rng.integers(1, m + 1))
-        ap, bp = _sample(outcome_distribution(r, a, b), rng)
-        try:
-            ga, _ = decode(r, "Alice", a, ap)
-        except GameError:
-            ga = int(rng.integers(1, m + 1))
-        try:
-            gb, _ = decode(r, "Bob", b, bp)
-        except GameError:
-            gb = int(rng.integers(1, m + 1))
-        wins += int(ga == b and gb == a)
-    return wins / trials
+    rng = _rng(seed, 1)
+    a = rng.integers(m, size=trials)
+    b = rng.integers(m, size=trials)
+    bp, ap = np.divmod(_draw(_outcome_probs(r)[a * m + b], rng), m)
+    alice, bob = _decode_tables(r)
+    ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
+    return int(np.count_nonzero((ga == b + 1) & (gb == a + 1))) / trials
 
 
 # ---------------------------------------------------------------------------
 # anti-anyon twist
 
 
-def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int,
-                     workers: int = 1) -> dict:
+def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     """Exchange repeated 2n+1 times with n drawn from twist_dist.
 
     Bob measures his slot and infers Alice's number by maximum likelihood
@@ -385,19 +382,15 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int,
     rho_dev = float(np.max(np.abs(rho_by_n - rho_by_n[:, :, :1])))
 
     posterior = np.einsum("abnk,n->abk", bob_like, probs)  # sum over n prior
+    guess = np.argmax(posterior, axis=0)  # [b, k]
 
-    def run(t):
-        rng = _rng(seed, 2, t)
-        a = int(rng.integers(m))
-        b = int(rng.integers(m))
-        n_idx = int(rng.choice(len(ns), p=probs))
-        k = int(rng.choice(m, p=bob_like[a, b, n_idx] / bob_like[a, b, n_idx].sum()))
-        guess = int(np.argmax(posterior[:, b, k]))
-        return int(guess == a)
-
-    wins = sum(_parallel_map(run, range(trials), workers))
+    rng = _rng(seed, 2)
+    a = rng.integers(m, size=trials)
+    b = rng.integers(m, size=trials)
+    n_idx = _draw(np.broadcast_to(probs, (trials, len(ns))), rng)
+    k = _draw(bob_like[a, b, n_idx], rng)
     return {
-        "success_rate": wins / trials,
+        "success_rate": int(np.count_nonzero(guess[b, k] == a)) / trials,
         "rho_b_n_deviation": rho_dev,
         "rho_b_avg": rho_avg,
         "n_support": ns,
@@ -415,22 +408,12 @@ def _twist_support(twist_dist):
     return ns, probs
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # noise
 
 
 def noise_experiment(cfg: GameConfig, trials: int, seed: int,
-                     distances=None, exposure: int = 8,
-                     workers: int = 1) -> list:
+                     distances=None, exposure: int = 8) -> list:
     """Decode success vs the particle-corner distance held during exposure.
 
     Each trial parks the particles at a given distance from their corners
@@ -442,48 +425,41 @@ def noise_experiment(cfg: GameConfig, trials: int, seed: int,
     """
     r = cfg.r
     m = r.m
+    mat = as_map(r).astype(np.complex128)
+    alice, bob = _decode_tables(r)
     if distances is None:
         distances = list(range(0, cfg.noise_l + 3))
     results = []
     for dist_idx, dist in enumerate(distances):
-        def run(t, dist=dist, dist_idx=dist_idx):
-            rng = _rng(seed, 3, dist_idx, t)
-            a = int(rng.integers(1, m + 1))
-            b = int(rng.integers(1, m + 1))
-            psi = np.zeros((m, m), dtype=np.complex128)
-            psi[a - 1, b - 1] = 1.0
-            exposed = dist <= cfg.noise_l
-            for _ in range(exposure):
-                for slot in (0, 1):  # Alice's, Bob's particle
-                    if rng.random() >= cfg.noise_p:
-                        continue
-                    offset = int(rng.integers(-cfg.noise_d, cfg.noise_d + 1))
-                    u = _haar(m, rng)
-                    if offset != 0 or not exposed:
-                        continue  # unoccupied site, or label shielded in bulk
-                    psi = np.einsum("ij,jk->ik", u, psi) if slot == 0 else psi @ u.T
-            out = as_map(r).astype(np.complex128) @ psi.reshape(m * m)
-            probs = np.abs(out) ** 2
-            probs = probs / probs.sum()
-            idx = int(rng.choice(m * m, p=probs))
-            bp, ap = idx // m + 1, idx % m + 1
-            try:
-                ga, _ = decode(r, "Alice", a, ap)
-                gb, _ = decode(r, "Bob", b, bp)
-            except GameError:
-                ga = int(rng.integers(1, m + 1))
-                gb = int(rng.integers(1, m + 1))
-            return int(ga == b and gb == a)
-
-        wins = sum(_parallel_map(run, range(trials), workers))
+        rng = _rng(seed, 3, dist_idx)
+        a = rng.integers(m, size=trials)
+        b = rng.integers(m, size=trials)
+        hit = rng.random((exposure, 2, trials)) < cfg.noise_p
+        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1, size=(exposure, 2, trials))
+        # only an event on the particle's own site while exposed applies a unitary
+        applied = hit & (offset == 0) & (dist <= cfg.noise_l)
+        # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
+        labels = np.zeros((2, trials, m), dtype=np.complex128)
+        labels[0, np.arange(trials), a] = 1.0
+        labels[1, np.arange(trials), b] = 1.0
+        for step in applied:
+            for slot, sel in enumerate(step):
+                u = _haar(m, np.count_nonzero(sel), rng)
+                labels[slot, sel] = np.einsum("tij,tj->ti", u, labels[slot, sel])
+        psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
+        bp, ap = np.divmod(_draw(np.abs(psi @ mat.T) ** 2, rng), m)
+        ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
+        wins = int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
         results.append({"distance": dist, "success_rate": wins / trials})
     return results
 
 
-def _haar(m: int, rng) -> np.ndarray:
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def _haar(m: int, count: int, rng) -> np.ndarray:
+    """count independent Haar-random m x m unitaries."""
+    z = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
     q, rr = np.linalg.qr(z)
-    return q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+    d = np.diagonal(rr, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> Finit
 # characters
 
 
-def character_table(G: FiniteGroup, seed: int = 0) -> np.ndarray:
+def character_table(G: FiniteGroup) -> np.ndarray:
     """Irreducible characters as rows, columns indexed by conjugacy class.
 
     Burnside's method: the class-sum multiplication matrices commute, so a
@@ -232,7 +232,7 @@ def character_table(G: FiniteGroup, seed: int = 0) -> np.ndarray:
     struct = counts / sizes[None, None, :]  # struct[i,j,k'] class-algebra constants
 
     id_cls = int(cls[0])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # fixed: the table is cached on G
     for _ in range(_MAX_RETRIES):
         combo = np.tensordot(rng.standard_normal(k), struct, axes=1)
         _, vecs = np.linalg.eig(combo)
@@ -325,12 +325,12 @@ def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
     raise GroupError("irrep realization failed after bounded retries")
 
 
-def irreps(G: FiniteGroup, seed: int = 0) -> list[Irrep]:
+def irreps(G: FiniteGroup) -> list[Irrep]:
     """One explicit unitary Irrep per character-table row."""
     if G._irreps is not None:
         return G._irreps
     tbl = character_table(G)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # fixed: the irreps are cached on G
     G._irreps = [_realize_irrep(G, tbl[i], i, rng) for i in range(len(tbl))]
     return G._irreps
 

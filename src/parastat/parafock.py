@@ -54,12 +54,6 @@ class StateVector:
     r: RMatrix
     amps: dict[Config, complex] = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        for cfg in self.amps:
-            return len(cfg)
-        return 0
-
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.amps.values())))
 

@@ -175,6 +175,20 @@ class TestNoiseSweep:
         assert all(0.0 <= float(r["success_rate"]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ("twist", "--builtin", "paper3d", "--n-max", "-1"),
+    ("twist", "--builtin", "paper3d", "--trials", "0"),
+    ("noise-sweep", "--builtin", "paper3d", "--trials", "0"),
+    ("noise-sweep", "--builtin", "paper3d", "--p", "1.5"),
+    ("noise-sweep", "--builtin", "paper3d", "--noise-d", "-1"),
+    ("noise-sweep", "--builtin", "paper3d", "--noise-l", "-1"),
+])
+def test_out_of_range_number_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert argv[-2] in err and "Traceback" not in err
+
+
 class TestGaugeCheck:
     @pytest.mark.parametrize("group", ("Z2", "S3"))
     def test_passes(self, capsys, group):

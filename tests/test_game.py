@@ -61,6 +61,42 @@ class TestDecode:
         assert len(dist) == 2  # superposed outcome
 
 
+def reference_decode(r, who, own, observed):
+    """The decode rule as a direct scan of the exchange tensor."""
+    e = np.asarray(r.entries)
+    m = r.m
+    if np.any((e != 0).reshape(m * m, m * m).sum(axis=0) != 1):
+        raise gm.GameError("use outcome_distribution instead")
+    hits = []
+    for x in range(1, m + 1):
+        for xp in range(1, m + 1):
+            if who == "Alice":
+                entry = e[xp - 1, observed - 1, own - 1, x - 1]
+            else:
+                entry = e[observed - 1, xp - 1, x - 1, own - 1]
+            if entry != 0:
+                hits.append((x, xp))
+    if len(hits) != 1:
+        raise gm.GameError("R not perfect")
+    return hits[0]
+
+
+@pytest.mark.parametrize("name", ["paper2d", "paper3d", "trivial4", "braid-fixture"])
+def test_decode_matches_reference_scan(name):
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except gm.GameError as exc:
+            return f"GameError: {exc}"
+
+    r = rm.builtin_r(name)
+    for who in ("Alice", "Bob"):
+        for own in range(1, r.m + 1):
+            for observed in range(1, r.m + 1):
+                args = (r, who, own, observed)
+                assert outcome(gm.decode, *args) == outcome(reference_decode, *args), args
+
+
 class TestMutualInformation:
     def test_perfect_tensor_gives_full_information(self):
         mi = gm.mutual_information(rm.paper_r(+1))
@@ -154,11 +190,17 @@ class TestTwist:
         eye = np.eye(2) / 2
         assert np.max(np.abs(out["rho_b_avg"] - eye)) < 1e-12
 
-    def test_worker_count_does_not_change_result(self):
-        a = gm.twist_experiment(rm.paper_r(-1), [0, 1], trials=100, seed=5)
-        b = gm.twist_experiment(rm.paper_r(-1), [0, 1], trials=100, seed=5,
-                                workers=4)
-        assert a["success_rate"] == b["success_rate"]
+    def test_same_seed_reproduces_every_sweep(self):
+        noisy = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, noise_p=0.5)
+        sweeps = {
+            "guessing": lambda seed: gm.guessing_trials(
+                rm.trivial_r(4, +1), 300, seed=seed),
+            "twist": lambda seed: gm.twist_experiment(
+                rm.braid_fixture(), [0, 1, 2], trials=300, seed=seed)["success_rate"],
+            "noise": lambda seed: gm.noise_experiment(noisy, trials=100, seed=seed),
+        }
+        for name, sweep in sweeps.items():
+            assert sweep(5) == sweep(5), name
 
 
 class TestNoise:
@@ -172,6 +214,19 @@ class TestNoise:
             assert by_dist[d] == 1.0  # label shielded in the bulk
         for d in (0, 1, 2):
             assert by_dist[d] < 0.5  # corrupted while exposed near a corner
+
+    def test_one_failed_decode_keeps_the_other(self):
+        # (a, b) -> (b', a') = (b, a + b mod 4): Alice always decodes b, Bob's
+        # decode never succeeds, so only Bob guesses and the rate is 1/4
+        e = np.zeros((4, 4, 4, 4), dtype=np.int64)
+        for a in range(4):
+            for b in range(4):
+                e[b, (a + b) % 4, a, b] = 1
+        cfg = gm.GameConfig(L=18, r=rm.RMatrix(e), a=1, b=1, noise_p=0.0)
+        results = gm.noise_experiment(cfg, trials=2000, seed=13)
+        se = np.sqrt(0.25 * 0.75 / 2000)
+        for row in results:
+            assert abs(row["success_rate"] - 0.25) < 4 * se
 
     def test_zero_rate_noise_is_harmless(self):
         cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, seed=12,
