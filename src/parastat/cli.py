@@ -60,6 +60,8 @@ def _load_r(args) -> tuple[rmatrix.RMatrix, list]:
     if getattr(args, "input", None):
         try:
             return rmatrix.load_rmatrix(args.input), [args.input]
+        except rmatrix.RMatrixError:
+            raise  # readable JSON that is no valid R-matrix: a domain failure
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read R-matrix: {exc}") from exc
     raise CliError("provide --builtin or --input")
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive-r", help="derive an R-matrix from a group presentation")
     p.add_argument("--presentation", help="presentation JSON (default: bundled order-128 group)")
-    p.add_argument("--order-bound", type=int, default=2048)
+    p.add_argument("--order-bound", type=_int_at_least(1), default=2048)
     p.add_argument("--out-r", help="write the derived R-matrix here")
     p.set_defaults(func=cmd_derive_r)
 

@@ -17,7 +17,6 @@ happens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,27 +169,20 @@ def mutual_information(r: RMatrix) -> dict:
     """Shannon information each player gains about the partner's number,
     with both numbers drawn uniformly."""
     m = r.m
-    # joint over (a, b, a', b')
-    p = {}
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            for (ap, bp), w in outcome_distribution(r, a, b).items():
-                p[(a, b, ap, bp)] = w / (m * m)
+    joint = _outcome_probs(r).reshape(m, m, m, m) / (m * m)  # [a, b, b', a']
 
-    def mi(target, view):
-        joint, marg_t, marg_v = {}, {}, {}
-        for key, w in p.items():
-            t, v = key[target], tuple(key[i] for i in view)
-            joint[(t, v)] = joint.get((t, v), 0.0) + w
-            marg_t[t] = marg_t.get(t, 0.0) + w
-            marg_v[v] = marg_v.get(v, 0.0) + w
-        total = 0.0
-        for (t, v), w in joint.items():
-            total += w * math.log2(w / (marg_t[t] * marg_v[v]))
-        return max(total, 0.0)
+    def entropy(p):
+        p = p[p > 0]
+        return -float(np.sum(p * np.log2(p)))
 
-    # Alice sees (a, a') = indices 0, 2 and wants b = index 1; Bob dually.
-    return {"alice_bits": mi(1, (0, 2)), "bob_bits": mi(0, (1, 3))}
+    def bits(seen, target):
+        """I(target; the other two axes) under the joint distribution seen."""
+        others = tuple(ax for ax in range(3) if ax != target)
+        return max(entropy(seen.sum(axis=others)) + entropy(seen.sum(axis=target))
+                   - entropy(seen), 0.0)
+
+    # Alice sees (a, a') and wants b, blind to b'; Bob sees (b, b') and wants a.
+    return {"alice_bits": bits(joint.sum(axis=2), 1), "bob_bits": bits(joint.sum(axis=3), 0)}
 
 
 # ---------------------------------------------------------------------------

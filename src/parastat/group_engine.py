@@ -1,7 +1,7 @@
 """Finite groups from presentations, and the exchange statistics they induce.
 
 Pipeline: a finite presentation is enumerated into a full multiplication
-table (Todd-Coxeter coset enumeration over the trivial subgroup, via sympy);
+table (Todd-Coxeter coset enumeration over the trivial subgroup);
 the character table is computed by simultaneous diagonalization of the class
 algebra (Burnside's method); irreps are realized as explicit unitary matrices
 by projecting the regular representation onto an isotypic block and splitting
@@ -20,12 +20,11 @@ irrep, and the right fusion rule) and the bundled file flags it as derived.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
-from sympy.combinatorics.free_groups import free_group
 
 from .rmatrix import RMatrix, from_map, as_map
 
@@ -131,69 +130,147 @@ class FiniteGroup:
         return self.mult[self.mult[g, x], self.inv[g]]
 
 
-def _relator_word(rel, gens):
-    out = gens[0] ** 0
-    table = {name: g for name, g in zip([str(g) for g in gens], gens)}
-    for tok in rel:
-        if tok.endswith("^-1"):
-            out = out * table[tok[:-3]] ** -1
-        else:
-            out = out * table[tok]
-    return out
+def _coset_table(pres: GroupPresentation, max_cosets: int):
+    """HLT Todd-Coxeter enumeration of the cosets of the trivial subgroup.
+
+    Holt, Eick & O'Brien, Handbook of Computational Group Theory (2005),
+    sec. 5.1.  The table is one flat int64 array with 2k columns per coset:
+    column 2i is generator i and column 2i+1 its inverse, -1 while undefined.
+    p[c] == c marks a live coset; a coset merged away by a coincidence points
+    at a smaller one.  Raises GroupError once max_cosets cosets (live or dead)
+    have been defined.
+    """
+    w = 2 * len(pres.generators)
+    col = {name: 2 * i for i, name in enumerate(pres.generators)}
+    rels = [
+        [col[t[:-3]] + 1 if t.endswith("^-1") else col[t] for t in rel]
+        for rel in pres.relations
+    ]
+    blank = array("q", [-1] * w)
+    table = array("q", blank)
+    p = [0]
+
+    def define(c, x):
+        d = len(p)
+        if d >= max_cosets:
+            raise GroupError("group too large or infinite under bound")
+        p.append(d)
+        table.extend(blank)
+        table[c * w + x] = d
+        table[d * w + (x ^ 1)] = c
+
+    def rep(c):
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:  # path compression
+            p[c], c = root, p[c]
+        return root
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            p[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        for dead in queue:  # merge() appends while this loop runs
+            for x in range(w):
+                d = table[dead * w + x]
+                if d < 0:
+                    continue
+                table[d * w + (x ^ 1)] = -1
+                mu, nu = rep(dead), rep(d)
+                if table[mu * w + x] >= 0:
+                    merge(nu, table[mu * w + x], queue)
+                elif table[nu * w + (x ^ 1)] >= 0:
+                    merge(mu, table[nu * w + (x ^ 1)], queue)
+                else:
+                    table[mu * w + x] = nu
+                    table[nu * w + (x ^ 1)] = mu
+
+    def scan_and_fill(c, rel):
+        f, b, i, j = c, c, 0, len(rel) - 1
+        while True:
+            while i <= j and table[f * w + rel[i]] >= 0:
+                f = table[f * w + rel[i]]
+                i += 1
+            if i > j:
+                if f != c:
+                    coincidence(f, c)
+                return
+            while j >= i and table[b * w + (rel[j] ^ 1)] >= 0:
+                b = table[b * w + (rel[j] ^ 1)]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:  # deduction closes the relator
+                table[f * w + rel[i]] = b
+                table[b * w + (rel[i] ^ 1)] = f
+                return
+            define(f, rel[i])
+
+    c = 0
+    while c < len(p):
+        for rel in rels:
+            if p[c] != c:
+                break
+            scan_and_fill(c, rel)
+        if p[c] == c:
+            for x in range(w):
+                if table[c * w + x] < 0:
+                    define(c, x)
+        c += 1
+    return table, p
 
 
 def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> FiniteGroup:
     """Tabulate the group defined by pres via coset enumeration.
 
-    Raises GroupError("group too large or infinite under bound") when the
-    final order exceeds order_bound or the enumeration blows past the
-    intermediate-coset allowance.
+    The enumeration may define at most 4 * order_bound cosets, so a group
+    that is infinite or far above the bound fails fast.  Raises
+    GroupError("group too large or infinite under bound") when that
+    allowance runs out or the final order exceeds order_bound.
+
+    Elements get the standardized coset-table numbering: scanning elements
+    in order and, for each, the columns g0, g0^-1, g1, g1^-1, ..., every
+    element gets the next index when first reached.  That scan is a
+    breadth-first search from the identity, and the step that first reaches
+    an element gives its canonical shortlex word.
     """
-    fr = free_group(", ".join(pres.generators))[0]
-    gens = fr.generators
-    relators = [_relator_word(rel, gens) for rel in pres.relations]
-    fp = FpGroup(fr, relators)
-    try:
-        ct = coset_enumeration_r(fp, [], max_cosets=max(200000, 100 * order_bound))
-    except ValueError as exc:
-        raise GroupError("group too large or infinite under bound") from exc
-    ct.compress()
-    ct.standardize()
-    table = ct.table
-    n = len(table)
+    k = len(pres.generators)
+    w = 2 * k
+    table, p = _coset_table(pres, 4 * order_bound)
+    index = {0: 0}  # live coset -> standardized element index
+    order = [0]
+    words: list[tuple[int, ...]] = [()]
+    parent, step = [0], [0]  # element = parent * generator column step
+    for y, c in enumerate(order):  # order grows while this loop runs
+        for x in range(w):
+            d = table[c * w + x]
+            if d not in index:
+                index[d] = len(order)
+                order.append(d)
+                words.append(words[y] + ((x // 2 + 1) * (1 - 2 * (x % 2)),))
+                parent.append(y)
+                step.append(x)
+    n = len(order)
+    if n != sum(p[c] == c for c in range(len(p))):  # also catches an undefined entry
+        raise GroupError("coset table not transitive (enumeration incomplete)")
     if n > order_bound:
         raise GroupError("group too large or infinite under bound")
 
-    k = len(pres.generators)
-    act = np.empty((2 * k, n), dtype=np.int64)  # act[2i]=gen i, act[2i+1]=inverse
-    for col in range(2 * k):
-        act[col] = [row[col] for row in table]
-
-    # breadth-first words from the identity coset give canonical shortlex forms
-    words: list[tuple[int, ...] | None] = [None] * n
-    words[0] = ()
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for gi in range(k):
-                for signed, col in ((gi + 1, 2 * gi), (-(gi + 1), 2 * gi + 1)):
-                    y = int(act[col, x])
-                    if words[y] is None:
-                        words[y] = words[x] + (signed,)
-                        nxt.append(y)
-        queue = nxt
-    if any(w is None for w in words):
-        raise GroupError("coset table not transitive (enumeration incomplete)")
-
+    act = np.array(  # act[x, y] = element y times column x
+        [[index[table[c * w + x]] for c in order] for x in range(w)], dtype=np.int64
+    )
     mult = np.empty((n, n), dtype=np.int64)
-    idx0 = np.arange(n)
-    for y in range(n):
-        idx = idx0
-        for signed in words[y]:
-            col = 2 * (abs(signed) - 1) + (0 if signed > 0 else 1)
-            idx = act[col, idx]
-        mult[:, y] = idx
+    mult[:, 0] = np.arange(n)
+    for y in range(1, n):
+        mult[:, y] = act[step[y], mult[:, parent[y]]]
     inv = np.argmin(mult, axis=1)  # position of the identity (index 0) in each row
 
     class_of = np.full(n, -1, dtype=np.int64)
@@ -307,7 +384,7 @@ def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
     for _ in range(_MAX_RETRIES):
         h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         h = h + h.conj().T
-        t = np.einsum("gij,jk,glk->il", restricted, h, restricted.conj()) / n
+        t = (restricted @ h @ restricted.conj().transpose(0, 2, 1)).sum(axis=0) / n
         tvals, tvecs = np.linalg.eigh(t)
         # eigenvalues of the commutant operator cluster in groups of exactly d
         splits = [0] + [
@@ -318,7 +395,7 @@ def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
         if chosen is None:
             continue
         cols = tvecs[:, chosen[0]:chosen[1]]
-        mats = np.einsum("ij,gjk,kl->gil", cols.conj().T, restricted, cols)
+        mats = cols.conj().T @ restricted @ cols
         traces = np.array([np.trace(mats[c[0]]) for c in G.classes])
         if np.max(np.abs(traces - chi)) < 1e-8:
             return Irrep(G, index, d, mats, chi.copy())
@@ -410,7 +487,7 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     right = np.einsum("ij,gkl->gikjl", np.eye(m), sigma.matrices).reshape(n, dim, dim)
     for _ in range(_MAX_RETRIES):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        t = np.einsum("gij,jk,glk->il", left, x, right.conj()) / n
+        t = (left @ x @ right.conj().transpose(0, 2, 1)).sum(axis=0) / n
         u, s, vh = np.linalg.svd(t)
         if s[-1] < 1e-8 * s[0]:
             continue  # rank-deficient average; try a fresh X

@@ -26,6 +26,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
+# Largest m that load_rmatrix accepts.  The braid check works on m^3 x m^3
+# matrices, O(m^6) memory and O(m^9) time: 512 x 512 at m = 8.
+MAX_M = 8
+
 # Nonzero positions of the paper's m=4 R-matrix: PAPER_TABLE[(a, b)] = (b', a'),
 # all 1-based.  Exactly one nonzero entry per (a, b) column.
 PAPER_TABLE = {
@@ -153,11 +157,11 @@ def check_yang_baxter(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """Braid relation on V^3 plus involutivity R^2 = 1."""
     m = r.m
     mat = as_map(r)
-    eye = np.eye(m)
+    eye = np.eye(m, dtype=mat.dtype)
     r12 = np.kron(mat, eye)
     r23 = np.kron(eye, mat)
     braid = r12 @ r23 @ r12 - r23 @ r12 @ r23
-    invol = mat @ mat - np.eye(m * m)
+    invol = mat @ mat - np.eye(m * m, dtype=mat.dtype)
     rep_b = _report("yang_baxter.braid", braid, tol)
     rep_i = _report("yang_baxter.involutive", invol, tol)
     worse = rep_b if rep_b.max_residual >= rep_i.max_residual else rep_i
@@ -168,7 +172,7 @@ def check_yang_baxter(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
 
 def check_unitary(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     mat = as_map(r)
-    return _report("unitary", mat.conj().T @ mat - np.eye(r.m * r.m), tol)
+    return _report("unitary", mat.conj().T @ mat - np.eye(r.m * r.m, dtype=mat.dtype), tol)
 
 
 def _groupings(r: RMatrix):
@@ -185,8 +189,9 @@ def check_perfect_tensor(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     m2 = r.m * r.m
     worst = None
     ok = True
+    eye = np.eye(m2, dtype=r.entries.dtype)
     for name, mat in _groupings(r):
-        rep = _report(f"perfect_tensor{name}", mat.conj().T @ mat - np.eye(m2), tol)
+        rep = _report(f"perfect_tensor{name}", mat.conj().T @ mat - eye, tol)
         ok = ok and rep.passed
         if worst is None or rep.max_residual > worst.max_residual:
             worst = rep
@@ -250,7 +255,11 @@ def save_rmatrix(r: RMatrix, path) -> None:
 
 
 def load_rmatrix(source) -> RMatrix:
-    """Read the sparse JSON form; rejects out-of-range indices and duplicates."""
+    """Read the sparse JSON form.
+
+    Rejects m outside 1..MAX_M before the dense tensor is allocated, then
+    out-of-range indices, duplicates and non-finite values.
+    """
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
@@ -261,10 +270,10 @@ def load_rmatrix(source) -> RMatrix:
     try:
         m = int(data["m"])
         rows = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RMatrixError(f"malformed R-matrix file: {exc}") from exc
-    if m < 1:
-        raise RMatrixError("m must be >= 1")
+    if not 1 <= m <= MAX_M:
+        raise RMatrixError(f"m must lie in 1..{MAX_M}, got {m}")
     entries = np.zeros((m, m, m, m), dtype=np.complex128)
     seen = set()
     for row in rows:
@@ -278,7 +287,10 @@ def load_rmatrix(source) -> RMatrix:
         if key in seen:
             raise RMatrixError(f"duplicate index tuple: {key}")
         seen.add(key)
-        entries[bp - 1, ap - 1, a - 1, b - 1] = complex(float(row[4]), float(row[5]))
+        value = complex(float(row[4]), float(row[5]))
+        if not np.isfinite(value):
+            raise RMatrixError(f"non-finite value: {row}")
+        entries[bp - 1, ap - 1, a - 1, b - 1] = value
     if np.allclose(entries.imag, 0.0) and np.array_equal(entries.real, np.round(entries.real)):
         as_int = entries.real.astype(np.int64)
         if np.all(np.abs(as_int) <= 1):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,18 @@ class TestVerifyR:
         path.write_text("{not json")
         code, _, err = run(capsys, "verify-r", "--input", str(path))
         assert code == 2 and "cannot read R-matrix" in err
+
+    @pytest.mark.parametrize("data", (
+        {"m": 1000, "entries": []},
+        {"m": 2, "entries": [[1, 1, 1, 1, "nan", 0.0]]},
+        {"m": float("inf"), "entries": []},
+    ))
+    def test_invalid_r_matrix_is_domain_failure(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-r", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-r")
@@ -182,6 +198,8 @@ class TestNoiseSweep:
     ("noise-sweep", "--builtin", "paper3d", "--p", "1.5"),
     ("noise-sweep", "--builtin", "paper3d", "--noise-d", "-1"),
     ("noise-sweep", "--builtin", "paper3d", "--noise-l", "-1"),
+    ("derive-r", "--order-bound", "0"),
+    ("derive-r", "--order-bound", "-5"),
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -212,3 +230,14 @@ class TestGaugeCheck:
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main([]) == 2
+
+
+def test_cli_import_leaves_sympy_out():
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    probe = "import sys, parastat.cli; print('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,46 @@ def test_decode_matches_reference_scan(name):
                 assert outcome(gm.decode, *args) == outcome(reference_decode, *args), args
 
 
+def reference_mutual_information(r):
+    """The earlier dict-of-tuples implementation, kept as the reference."""
+    m = r.m
+    p = {}
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            for (ap, bp), w in gm.outcome_distribution(r, a, b).items():
+                p[(a, b, ap, bp)] = w / (m * m)
+
+    def mi(target, view):
+        joint, marg_t, marg_v = {}, {}, {}
+        for key, w in p.items():
+            t, v = key[target], tuple(key[i] for i in view)
+            joint[(t, v)] = joint.get((t, v), 0.0) + w
+            marg_t[t] = marg_t.get(t, 0.0) + w
+            marg_v[v] = marg_v.get(v, 0.0) + w
+        total = 0.0
+        for (t, v), w in joint.items():
+            total += w * math.log2(w / (marg_t[t] * marg_v[v]))
+        return max(total, 0.0)
+
+    return {"alice_bits": mi(1, (0, 2)), "bob_bits": mi(0, (1, 3))}
+
+
+def _haar_gauged_paper3d():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    qq = np.kron(q, q)
+    return rm.from_map(qq @ rm.as_map(rm.paper_r(+1)) @ qq.conj().T, 4)
+
+
 class TestMutualInformation:
+    @pytest.mark.parametrize("name", ("paper2d", "paper3d", "trivial4", "braid-fixture", "gauged"))
+    def test_matches_reference_loop(self, name):
+        r = _haar_gauged_paper3d() if name == "gauged" else rm.builtin_r(name)
+        mi, ref = gm.mutual_information(r), reference_mutual_information(r)
+        assert mi.keys() == ref.keys()
+        for key in ref:
+            assert abs(mi[key] - ref[key]) <= 1e-12, (key, mi[key], ref[key])
+
     def test_perfect_tensor_gives_full_information(self):
         mi = gm.mutual_information(rm.paper_r(+1))
         assert mi["alice_bits"] == pytest.approx(2.0, abs=1e-12)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +51,13 @@ class TestEnumeration:
         with pytest.raises(ge.GroupError, match="too large"):
             ge.enumerate_group(ge.gamma_presentation(), order_bound=64)
 
+    def test_infinite_group_fails_fast(self):
+        infinite = ge.GroupPresentation(("a", "b"), (("a", "a"),))
+        start = time.perf_counter()
+        with pytest.raises(ge.GroupError, match="too large"):
+            ge.enumerate_group(infinite, order_bound=1000)
+        assert time.perf_counter() - start < 1.0
+
     def test_undeclared_generator_rejected(self):
         with pytest.raises(ge.GroupError):
             ge.GroupPresentation(("a",), (("a", "b"),))
@@ -64,6 +74,45 @@ class TestEnumeration:
             "relations": [list(rel) for rel in pres.relations],
         }))
         assert ge.load_presentation(path) == pres
+
+
+def _loose_gamma():
+    """The bundled presentation without its supplementary relation (order 256)."""
+    pres = ge.gamma_presentation()
+    rels = tuple(r for r in pres.relations if r != ("z1", "z2", "z3", "z4"))
+    return ge.GroupPresentation(pres.generators, rels)
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<i8").tobytes()).hexdigest()
+
+
+FIXTURE_GROUPS = {
+    "Z2": (ge.z2_presentation, 100000),
+    "S3": (ge.s3_presentation, 100000),
+    "D4": (ge.d4_presentation, 100000),
+    "gamma128": (ge.gamma_presentation, 100000),
+    "gamma256": (_loose_gamma, 1024),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GROUPS))
+def test_enumeration_matches_recorded_tables(name):
+    """Fingerprints recorded from the earlier sympy-based enumeration
+    (coset_enumeration_r, then compress and standardize)."""
+    fixtures = json.loads((Path(__file__).parent / "enumeration_fixtures.json").read_text())
+    pres, bound = FIXTURE_GROUPS[name]
+    G = ge.enumerate_group(pres(), order_bound=bound)
+    words = json.dumps([list(w) for w in G.words]).encode()
+    assert {
+        "order": G.order,
+        "mult_sha256": _sha256(G.mult),
+        "inv_sha256": _sha256(G.inv),
+        "words_sha256": hashlib.sha256(words).hexdigest(),
+        "gen_elems": G.gen_elems,
+        "class_first": [int(c[0]) for c in G.classes],
+        "class_sizes": [len(c) for c in G.classes],
+    } == fixtures[name]
 
 
 class TestCharacters:
@@ -238,8 +287,5 @@ class TestSupplementaryRelation:
             ge.find_para_pair(G)
 
     def test_no_supplementary_relation_gives_256(self):
-        pres = ge.gamma_presentation()
-        rels = tuple(r for r in pres.relations if r != ("z1", "z2", "z3", "z4"))
-        loose = ge.GroupPresentation(pres.generators, rels)
-        G = ge.enumerate_group(loose, order_bound=1024)
+        G = ge.enumerate_group(_loose_gamma(), order_bound=1024)
         assert G.order == 256

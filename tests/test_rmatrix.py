@@ -94,6 +94,19 @@ class TestChecks:
         rep = rm.check_yang_baxter(r, 1e-10)
         assert not rep.passed  # involutivity part fails
 
+    def test_exact_r_is_checked_in_integers(self, monkeypatch):
+        residuals = []
+        report = rm._report
+        monkeypatch.setattr(
+            rm, "_report", lambda name, res, tol: residuals.append(res) or report(name, res, tol))
+        r = rm.paper_r(+1)
+        assert r.is_exact
+        assert rm.check_yang_baxter(r, 0).passed
+        assert rm.check_unitary(r, 0).passed
+        assert rm.check_perfect_tensor(r, 0).passed
+        assert len(residuals) == 6  # braid, involutive, unitary, three groupings
+        assert all(np.issubdtype(res.dtype, np.integer) for res in residuals)
+
     def test_report_fields(self):
         rep = rm.check_unitary(rm.paper_r(+1), 0)
         d = rep.as_dict()
@@ -200,6 +213,18 @@ class TestSerialization:
             rm.load_rmatrix({"entries": []})
         with pytest.raises(rm.RMatrixError):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1.0]]})
+
+    @pytest.mark.parametrize("m", (0, -5, rm.MAX_M + 1, 1000))
+    def test_rejects_m_outside_cap(self, m):
+        with pytest.raises(rm.RMatrixError, match="m must lie in"):
+            rm.load_rmatrix({"m": m, "entries": []})
+
+    @pytest.mark.parametrize("value", ("nan", "inf", float("nan"), float("-inf")))
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(rm.RMatrixError, match="non-finite"):
+            rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, value, 0.0]]})
+        with pytest.raises(rm.RMatrixError, match="non-finite"):
+            rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, 1.0, value]]})
 
     def test_integer_snap(self, tmp_path):
         path = tmp_path / "r.json"
