@@ -273,12 +273,18 @@ def cmd_gauge_check(args) -> int:
 # argument parsing
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+# Largest twist --n-max.  twist_experiment keeps three m^2 x m^2 complex128
+# blocks per n (matrix power, states, Bob-slot density matrices): 192 KiB per n
+# at m = rmatrix.MAX_M = 8, about 19 MiB here, plus 9 bytes per trial per n.
+TWIST_N_MAX = 100
+
+
+def _int_at_least(low: int, at_most: float = float("inf")):
+    """argparse type: an integer in low..at_most."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not low <= value <= at_most:
+            raise argparse.ArgumentTypeError(f"must lie in {low}..{at_most}, got {value}")
         return value
     return integer
 
@@ -298,7 +304,7 @@ def _add_r_source(p):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="parastat")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_int_at_least(0), default=0)
     ap.add_argument("--tol", type=float, default=rmatrix.DEFAULT_TOL)
     ap.add_argument("--out", help="write the report here instead of stdout")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twist", help="repeated-exchange experiment")
     _add_r_source(p)
-    p.add_argument("--n-max", type=_int_at_least(0), default=7)
+    p.add_argument("--n-max", type=_int_at_least(0, at_most=TWIST_N_MAX), default=7)
     p.add_argument("--trials", type=_int_at_least(1), default=10000)
     p.set_defaults(func=cmd_twist)
 

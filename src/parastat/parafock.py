@@ -4,8 +4,11 @@ An n-particle basis state is an ordered list of (position, label) pairs in
 normal form (positions strictly increasing); labels run 1..m.  Reordering a
 list costs R-matrix factors: swapping adjacent out-of-order entries
 (p, a), (q, b) with p > q produces sum_{a',b'} R^{b'a'}_{ab} (q, b'), (p, a').
-The Yang-Baxter equation plus involutivity make the resulting normal form
-independent of the swap sequence, so states are well defined.
+Only such descents are swapped, so the braid relation alone makes the normal
+form independent of the swap sequence; involutivity is what makes moving a
+particle past another and back the identity.  Each swap acts on the whole
+superposition and merges equal configurations at once, so sorting costs
+O(swaps x support) configuration updates, not one pass per branch.
 
 Positions are arbitrary integers; geometry only enters through their order.
 Two particles never share a position (exclusion is rejected, not modeled).
@@ -72,10 +75,6 @@ def vacuum(r: RMatrix) -> StateVector:
     return StateVector(r, {(): 1.0 + 0.0j})
 
 
-def _sorted(pairs) -> bool:
-    return all(pairs[i][0] < pairs[i + 1][0] for i in range(len(pairs) - 1))
-
-
 def _accumulate(amps: dict, cfg: Config, coeff: complex) -> None:
     new = amps.get(cfg, 0.0) + coeff
     if abs(new) <= PRUNE:
@@ -84,47 +83,59 @@ def _accumulate(amps: dict, cfg: Config, coeff: complex) -> None:
         amps[cfg] = new
 
 
+def _first_descent(cfg: Config) -> int | None:
+    return next((i for i in range(len(cfg) - 1) if cfg[i][0] > cfg[i + 1][0]), None)
+
+
+def _config(pairs, m: int) -> Config:
+    """A raw (position, label) list as a Config: distinct positions, labels 1..m."""
+    cfg = tuple((int(p), int(l)) for p, l in pairs)
+    if len({p for p, _ in cfg}) != len(cfg):
+        raise FockError("position occupied twice: exclusion statistics not modeled")
+    if not all(1 <= l <= m for _, l in cfg):
+        raise FockError(f"labels must lie in 1..{m}, got {[l for _, l in cfg]}")
+    return cfg
+
+
+def _exchange(amps: dict, t: np.ndarray, slot) -> dict:
+    """Swap entries k, k+1 of every configuration, k = slot(cfg), merging equal
+    results after each pass, until slot returns None for every configuration.
+    t is indexed like RMatrix.entries: (x, u), (y, v) -> t[i-1, j-1, u-1, v-1] (y, i), (x, j).
+    """
+    while True:
+        out: dict[Config, complex] = {}
+        moved = False
+        for cfg, c in amps.items():
+            k = slot(cfg)
+            if k is None:
+                _accumulate(out, cfg, c)
+                continue
+            moved = True
+            (x, u), (y, v) = cfg[k], cfg[k + 1]
+            col = t[:, :, u - 1, v - 1]
+            for i, j in zip(*np.nonzero(col)):
+                swapped = cfg[:k] + ((y, int(i) + 1), (x, int(j) + 1)) + cfg[k + 2:]
+                _accumulate(out, swapped, c * complex(col[i, j]))
+        if not moved:
+            return out
+        amps = out
+
+
 def normal_form(raw, r: RMatrix, coeff: complex = 1.0) -> StateVector:
     """Sort a raw (position, label) list into normal form, paying R factors."""
-    raw = tuple((int(p), int(l)) for p, l in raw)
-    if len({p for p, _ in raw}) != len(raw):
-        raise FockError("exclusion statistics not modeled")
-    e = r.entries
-    amps: dict[Config, complex] = {}
-    work = [(raw, complex(coeff))]
-    while work:
-        pairs, c = work.pop()
-        if _sorted(pairs):
-            _accumulate(amps, pairs, c)
-            continue
-        k = next(i for i in range(len(pairs) - 1) if pairs[i][0] > pairs[i + 1][0])
-        (p, a), (q, b) = pairs[k], pairs[k + 1]
-        col = e[:, :, a - 1, b - 1]
-        for bp, ap in zip(*np.nonzero(col)):
-            swapped = pairs[:k] + ((q, int(bp) + 1), (p, int(ap) + 1)) + pairs[k + 2:]
-            work.append((swapped, c * complex(col[bp, ap])))
-    return StateVector(r, amps)
-
-
-def _merge(r: RMatrix, terms) -> StateVector:
-    amps: dict[Config, complex] = {}
-    for sv in terms:
-        for cfg, c in sv.amps.items():
-            _accumulate(amps, cfg, c)
-    return StateVector(r, amps)
+    amps = {_config(raw, r.m): complex(coeff)}
+    return StateVector(r, _exchange(amps, r.entries, _first_descent))
 
 
 def create(state: StateVector, pos: int, label: int, end: str) -> StateVector:
     """Insert a particle at the front or back of the list, then normal-form."""
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
-    terms = []
+    raw = {}
     for cfg, c in state.amps.items():
-        if any(p == pos for p, _ in cfg):
-            raise FockError(f"position {pos} already occupied")
-        raw = ((pos, label),) + cfg if end == "front" else cfg + ((pos, label),)
-        terms.append(normal_form(raw, state.r, c))
-    return _merge(state.r, terms)
+        new = ((pos, label),) + cfg if end == "front" else cfg + ((pos, label),)
+        raw[_config(new, state.r.m)] = c
+    return StateVector(state.r, _exchange(raw, state.r.entries, _first_descent))
 
 
 def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVector:
@@ -132,55 +143,31 @@ def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVecto
     inverse R factors), then remove it with a Kronecker delta on the label."""
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
-    m = state.r.m
+    for cfg in state.amps:
+        if all(p != pos for p, _ in cfg):
+            raise FockError(f"no particle at position {pos}")
+    m, front = state.r.m, end == "front"
     minv = np.linalg.inv(as_map(state.r).astype(np.complex128)).reshape(m, m, m, m)
-    # minv[a][b][b'][a'] = coefficient of the unordered pair (a, b) in (b', a')
+
+    def slot(cfg):
+        k, last = [p for p, _ in cfg].index(pos), 0 if front else len(cfg) - 1
+        return None if k == last else k - (k > last)
+
     amps: dict[Config, complex] = {}
-    for cfg, c in state.amps.items():
-        try:
-            k = next(i for i, (p, _) in enumerate(cfg) if p == pos)
-        except StopIteration:
-            raise FockError(f"no particle at position {pos}") from None
-        # branch over label assignments while un-bubbling the particle to the end
-        work = [(cfg, c)]
-        steps = range(k, 0, -1) if end == "front" else range(k, len(cfg) - 1)
-        for j in steps:
-            nxt = []
-            for pairs, cc in work:
-                if end == "front":
-                    (q, bp), (p, ap) = pairs[j - 1], pairs[j]
-                    col = minv[:, :, bp - 1, ap - 1]
-                    for a, b in zip(*np.nonzero(np.abs(col) > PRUNE)):
-                        repl = pairs[:j - 1] + ((p, int(a) + 1), (q, int(b) + 1)) + pairs[j + 1:]
-                        nxt.append((repl, cc * complex(col[a, b])))
-                else:
-                    (p, ap), (q, bp) = pairs[j], pairs[j + 1]
-                    col = minv[:, :, ap - 1, bp - 1]
-                    for a, b in zip(*np.nonzero(np.abs(col) > PRUNE)):
-                        repl = pairs[:j] + ((q, int(a) + 1), (p, int(b) + 1)) + pairs[j + 2:]
-                        nxt.append((repl, cc * complex(col[a, b])))
-            work = nxt
-        for pairs, cc in work:
-            idx = 0 if end == "front" else len(pairs) - 1
-            p, lab = pairs[idx]
-            if lab != label:
-                continue
-            rest = pairs[:idx] + pairs[idx + 1:]
-            _accumulate(amps, rest, cc)
+    for cfg, c in _exchange(state.amps, minv, slot).items():
+        if cfg[0 if front else -1][1] == label:
+            _accumulate(amps, cfg[1:] if front else cfg[:-1], c)
     return StateVector(state.r, amps)
 
 
 def move(state: StateVector, src: int, dst: int) -> StateVector:
     """Relocate the particle at src to dst, keeping its label; re-normal-form."""
-    terms = []
+    raw = {}
     for cfg, c in state.amps.items():
-        if any(p == dst for p, _ in cfg):
-            raise FockError(f"target position {dst} occupied")
-        moved = tuple((dst, l) if p == src else (p, l) for p, l in cfg)
-        if moved == cfg:
+        if all(p != src for p, _ in cfg):
             raise FockError(f"no particle at position {src}")
-        terms.append(normal_form(moved, state.r, c))
-    return _merge(state.r, terms)
+        raw[_config(((dst, l) if p == src else (p, l) for p, l in cfg), state.r.m)] = c
+    return StateVector(state.r, _exchange(raw, state.r.entries, _first_descent))
 
 
 def measure_corner(state: StateVector, end: str, pos: int | None = None):
@@ -274,8 +261,8 @@ def dump_state(state: StateVector) -> list:
 def load_state(data: list, r: RMatrix) -> StateVector:
     amps: dict[Config, complex] = {}
     for term in data:
-        pairs = tuple(zip(term["positions"], term["labels"]))
-        if not _sorted(pairs):
+        cfg = _config(zip(term["positions"], term["labels"]), r.m)
+        if _first_descent(cfg) is not None:
             raise FockError("state dump not in normal form")
-        amps[pairs] = complex(term["re"], term["im"])
+        amps[cfg] = complex(term["re"], term["im"])
     return StateVector(r, amps)

@@ -26,8 +26,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Largest m that load_rmatrix accepts.  The braid check works on m^3 x m^3
-# matrices, O(m^6) memory and O(m^9) time: 512 x 512 at m = 8.
+# Largest m that load_rmatrix and builtin_r accept.  The braid check works on
+# m^3 x m^3 matrices, O(m^6) memory and O(m^9) time: 512 x 512 at m = 8.
 MAX_M = 8
 
 # Nonzero positions of the paper's m=4 R-matrix: PAPER_TABLE[(a, b)] = (b', a'),
@@ -258,7 +258,8 @@ def load_rmatrix(source) -> RMatrix:
     """Read the sparse JSON form.
 
     Rejects m outside 1..MAX_M before the dense tensor is allocated, then
-    out-of-range indices, duplicates and non-finite values.
+    rows that are not six numbers, out-of-range indices, duplicates and
+    non-finite values.
     """
     if isinstance(source, dict):
         data = source
@@ -269,7 +270,7 @@ def load_rmatrix(source) -> RMatrix:
             data = json.load(fh)
     try:
         m = int(data["m"])
-        rows = data["entries"]
+        rows = list(data["entries"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RMatrixError(f"malformed R-matrix file: {exc}") from exc
     if not 1 <= m <= MAX_M:
@@ -277,9 +278,12 @@ def load_rmatrix(source) -> RMatrix:
     entries = np.zeros((m, m, m, m), dtype=np.complex128)
     seen = set()
     for row in rows:
-        if len(row) != 6:
-            raise RMatrixError(f"entry row must have 6 fields: {row}")
-        bp, ap, a, b = (int(i) for i in row[:4])
+        try:
+            bp, ap, a, b, re, im = row
+            bp, ap, a, b = (int(i) for i in (bp, ap, a, b))
+            value = complex(float(re), float(im))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RMatrixError(f"malformed entry row {row!r}: {exc}") from exc
         for i in (bp, ap, a, b):
             if not 1 <= i <= m:
                 raise RMatrixError(f"index out of range 1..{m}: {row}")
@@ -287,14 +291,11 @@ def load_rmatrix(source) -> RMatrix:
         if key in seen:
             raise RMatrixError(f"duplicate index tuple: {key}")
         seen.add(key)
-        value = complex(float(row[4]), float(row[5]))
         if not np.isfinite(value):
             raise RMatrixError(f"non-finite value: {row}")
         entries[bp - 1, ap - 1, a - 1, b - 1] = value
-    if np.allclose(entries.imag, 0.0) and np.array_equal(entries.real, np.round(entries.real)):
-        as_int = entries.real.astype(np.int64)
-        if np.all(np.abs(as_int) <= 1):
-            entries = as_int
+    if np.allclose(entries.imag, 0.0) and np.all(np.isin(entries.real, (-1.0, 0.0, 1.0))):
+        entries = entries.real.astype(np.int64)
     return RMatrix(entries)
 
 
@@ -309,9 +310,9 @@ def builtin_r(name: str) -> RMatrix:
     """Look up a named builtin: paper2d, paper3d, trivial{m}, braid-fixture."""
     if name in _BUILTINS:
         return _BUILTINS[name]()
-    if name.startswith("trivial"):
-        try:
-            return trivial_r(int(name[len("trivial"):]), +1)
-        except ValueError:
-            pass
+    size = name[len("trivial"):]
+    if name.startswith("trivial") and size.isdecimal():
+        if not 1 <= int(size) <= MAX_M:
+            raise KeyError(f"builtin {name!r}: m must lie in 1..{MAX_M}")
+        return trivial_r(int(size), +1)
     raise KeyError(f"unknown builtin R-matrix: {name!r}")

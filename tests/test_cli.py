@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parastat.cli as cli
 import parastat.rmatrix as rm
@@ -78,6 +81,12 @@ class TestVerifyR:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "verify-r", "--builtin", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ("trivial0", "trivial9", "trivial64", "trivial100000"))
+    def test_builtin_size_out_of_range(self, capsys, name):
+        code, out, err = run(capsys, "verify-r", "--builtin", name)
+        assert code == 2 and out == ""
+        assert "1..8" in err and "Traceback" not in err
 
 
 class TestManifest:
@@ -200,11 +209,51 @@ class TestNoiseSweep:
     ("noise-sweep", "--builtin", "paper3d", "--noise-l", "-1"),
     ("derive-r", "--order-bound", "0"),
     ("derive-r", "--order-bound", "-5"),
+    ("twist", "--builtin", "paper3d", "--n-max", str(cli.TWIST_N_MAX + 1)),
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert argv[-2] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("twist", "--builtin", "paper3d", "--trials", "10"),
+    ("derive-r",),
+    ("gauge-check",),
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "--seed", "-1", *argv)
+    assert code == 2 and out == ""
+    assert "--seed" in err and "Traceback" not in err
+
+
+# odd JSON values: out of range, huge, non-finite, non-integer, wrong type
+ODD = st.one_of(
+    st.integers(-2, 10), st.integers(), st.floats(), st.text(max_size=3),
+    st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
+)
+INDEX = st.one_of(st.integers(0, 9), ODD)
+VALUE = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), ODD)
+ROW = st.one_of(st.tuples(INDEX, INDEX, INDEX, INDEX, VALUE, VALUE).map(list),
+                st.lists(ODD, max_size=7), ODD)
+R_JSON = st.one_of(
+    st.fixed_dictionaries({"m": st.one_of(st.integers(1, 4), ODD),
+                           "entries": st.one_of(st.lists(ROW, max_size=12), ODD)}),
+    ODD,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=R_JSON)
+def test_verify_r_survives_any_json(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "r.json"
+    path.write_text(json.dumps(data))
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = cli.main(["verify-r", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestGaugeCheck:

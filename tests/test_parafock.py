@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,17 @@ import parastat.parafock as pf
 import parastat.rmatrix as rm
 
 
-def randomized_normal_form(raw, r, rng, coeff=1.0):
-    """Normal-form a raw pair list choosing swap positions at random.
+def path_normal_form(raw, r, pick, coeff=1.0):
+    """Normal-form a raw pair list by expanding every bubble-sort path on its
+    own and merging equal configurations only at the end (cost grows with the
+    path count); pick(descents) chooses the swap position.
 
-    Used to check that the result is independent of the swap schedule.
+    Picking the first descent is the former parafock sorter, kept as the
+    reference; a random pick checks that the result does not depend on the
+    swap schedule.
     """
     amps = {}
-    work = [(tuple(raw), complex(coeff))]
+    work = [(tuple((int(p), int(l)) for p, l in raw), complex(coeff))]
     e = r.entries
     while work:
         pairs, c = work.pop()
@@ -20,24 +26,183 @@ def randomized_normal_form(raw, r, rng, coeff=1.0):
         if not bad:
             pf._accumulate(amps, pairs, c)
             continue
-        k = bad[rng.integers(len(bad))]
+        k = pick(bad)
         (p, a), (q, b) = pairs[k], pairs[k + 1]
         col = e[:, :, a - 1, b - 1]
         for bp, ap in zip(*np.nonzero(col)):
             swapped = pairs[:k] + ((q, int(bp) + 1), (p, int(ap) + 1)) + pairs[k + 2:]
             work.append((swapped, c * complex(col[bp, ap])))
+    return amps
+
+
+def reference_normal_form(raw, r, coeff=1.0):
+    return path_normal_form(raw, r, lambda bad: bad[0], coeff)
+
+
+def randomized_normal_form(raw, r, rng, coeff=1.0):
+    """Normal-form a raw pair list choosing swap positions at random.
+
+    Used to check that the result is independent of the swap schedule.
+    """
+    amps = path_normal_form(raw, r, lambda bad: bad[rng.integers(len(bad))], coeff)
     return pf.StateVector(r, amps)
 
 
+def reference_merge(r, raw_terms):
+    """Normal-form each (raw list, amplitude) on its own and add the results."""
+    amps = {}
+    for raw, c in raw_terms:
+        for cfg, v in reference_normal_form(raw, r, c).items():
+            pf._accumulate(amps, cfg, v)
+    return amps
+
+
+def reference_create(state, pos, label, end):
+    new = (((pos, label),) + cfg if end == "front" else cfg + ((pos, label),)
+           for cfg in state.amps)
+    return reference_merge(state.r, zip(new, state.amps.values()))
+
+
+def reference_move(state, src, dst):
+    new = (tuple((dst, l) if p == src else (p, l) for p, l in cfg) for cfg in state.amps)
+    return reference_merge(state.r, zip(new, state.amps.values()))
+
+
+def reference_annihilate(state, pos, label, end):
+    """The former annihilate: one branch list per configuration, with mirrored
+    front and back loops over the inverse exchange."""
+    m = state.r.m
+    minv = np.linalg.inv(rm.as_map(state.r).astype(np.complex128)).reshape(m, m, m, m)
+    amps = {}
+    for cfg, c in state.amps.items():
+        k = next(i for i, (p, _) in enumerate(cfg) if p == pos)
+        work = [(cfg, c)]
+        steps = range(k, 0, -1) if end == "front" else range(k, len(cfg) - 1)
+        for j in steps:
+            nxt = []
+            for pairs, cc in work:
+                if end == "front":
+                    (q, bp), (p, ap) = pairs[j - 1], pairs[j]
+                    col = minv[:, :, bp - 1, ap - 1]
+                    for a, b in zip(*np.nonzero(np.abs(col) > pf.PRUNE)):
+                        repl = pairs[:j - 1] + ((p, int(a) + 1), (q, int(b) + 1)) + pairs[j + 1:]
+                        nxt.append((repl, cc * complex(col[a, b])))
+                else:
+                    (p, ap), (q, bp) = pairs[j], pairs[j + 1]
+                    col = minv[:, :, ap - 1, bp - 1]
+                    for a, b in zip(*np.nonzero(np.abs(col) > pf.PRUNE)):
+                        repl = pairs[:j] + ((q, int(a) + 1), (p, int(b) + 1)) + pairs[j + 2:]
+                        nxt.append((repl, cc * complex(col[a, b])))
+            work = nxt
+        for pairs, cc in work:
+            idx = 0 if end == "front" else len(pairs) - 1
+            if pairs[idx][1] == label:
+                pf._accumulate(amps, pairs[:idx] + pairs[idx + 1:], cc)
+    return amps
+
+
+def gauged_paper3d(seed):
+    """paper3d rotated by a seeded Haar unitary Q on every label: a dense R
+    with all 16 entries of every exchange column nonzero."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, upper = np.linalg.qr(z)
+    q = q * (np.diagonal(upper) / np.abs(np.diagonal(upper)))
+    qq = np.kron(q, q)
+    mat = qq @ rm.as_map(rm.paper_r(+1)).astype(np.complex128) @ qq.conj().T
+    return rm.from_map(mat, 4)
+
+
+def max_diff(a, b):
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)), default=0.0)
+
+
+class TestAgainstReference:
+    """The exchange loop equals the former path-expanding code for n <= 6.
+
+    The reference costs (branches per exchange) ** swaps, so each input gets
+    at most SWAPS[name] exchanges: about 4096 reference paths.
+    """
+
+    SWAPS = {"paper2d": 15, "paper3d": 15, "braid-fixture": 12, "gauged-paper3d": 3}
+
+    @staticmethod
+    def r_matrix(name):
+        return gauged_paper3d(29) if name == "gauged-paper3d" else rm.builtin_r(name)
+
+    @staticmethod
+    def scrambled(rng, n, m, swaps):
+        """A random n-particle list at most `swaps` adjacent swaps from sorted."""
+        pairs = sorted(zip(rng.choice(np.arange(1, 21), n, replace=False).tolist(),
+                           rng.integers(1, m + 1, n).tolist()))
+        for _ in range(swaps if n > 1 else 0):
+            k = int(rng.integers(n - 1))
+            pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+        return pairs
+
+    @pytest.mark.parametrize("name", ("paper2d", "paper3d", "braid-fixture", "gauged-paper3d"))
+    def test_normal_form(self, name):
+        r, cap = self.r_matrix(name), self.SWAPS[name]
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for _ in range(6):
+                raw = self.scrambled(rng, n, r.m, int(rng.integers(cap + 1)))
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                assert max_diff(pf.normal_form(raw, r, c).amps,
+                                reference_normal_form(raw, r, c)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ("paper2d", "paper3d", "braid-fixture", "gauged-paper3d"))
+    def test_create_move_annihilate(self, name):
+        r, cap = self.r_matrix(name), self.SWAPS[name]
+        rng = np.random.default_rng(37)
+        pre = cap // 2  # swaps spent on the input state, the rest on the operation
+        left = cap - pre
+        for n in range(1, 7):
+            for _ in range(4):
+                state = pf.normal_form(self.scrambled(rng, n, r.m, pre), r)
+                occupied = sorted(state.positions())
+                free = [p for p in range(1, 22) if p not in occupied]
+                for end in ("front", "back"):
+                    # create: the new particle passes the ones before (front) or after it
+                    passes = {p: sum(q < p if end == "front" else q > p for q in occupied)
+                              for p in free}
+                    pos = int(rng.choice([p for p in free if passes[p] <= left]))
+                    label = int(rng.integers(1, r.m + 1))
+                    assert max_diff(pf.create(state, pos, label, end).amps,
+                                    reference_create(state, pos, label, end)) <= 1e-12
+                    # annihilate: pull a particle within the budget of the chosen end
+                    near = occupied[:left + 1] if end == "front" else occupied[-left - 1:]
+                    pos = int(rng.choice(near))
+                    for label in range(1, r.m + 1):
+                        assert max_diff(pf.annihilate(state, pos, label, end).amps,
+                                        reference_annihilate(state, pos, label, end)) <= 1e-12
+                # move: the particle passes everyone strictly between src and dst
+                src = int(rng.choice(occupied))
+                dst = int(rng.choice([p for p in free if sum(
+                    min(src, p) < q < max(src, p) for q in occupied) <= left]))
+                assert max_diff(pf.move(state, src, dst).amps,
+                                reference_move(state, src, dst)) <= 1e-12
+
+    def test_reversed_braid_list_is_fast(self):
+        # the former sorter expands 2**45 paths here; the exchange loop merges
+        # after every swap and stays at the 2**5 configurations of the result
+        raw = [(10 - i, 1 + i % 2) for i in range(10)]
+        start = time.perf_counter()
+        state = pf.normal_form(raw, rm.braid_fixture())
+        assert time.perf_counter() - start < 1.0
+        assert abs(state.norm() - 1.0) < 1e-12
+
+
 class TestNormalForm:
-    @pytest.mark.parametrize("sign", (+1, -1))
+    # the paper's R by sign, and braid-fixture: braid relation only, R^2 != 1
+    @pytest.mark.parametrize("sign", (+1, -1, "braid-fixture"))
     def test_schedule_independence(self, sign):
-        r = rm.paper_r(sign)
+        r = rm.braid_fixture() if sign == "braid-fixture" else rm.paper_r(sign)
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(2, 6))
             positions = rng.choice(20, size=n, replace=False)
-            labels = rng.integers(1, 5, size=n)
+            labels = rng.integers(1, r.m + 1, size=n)
             raw = tuple((int(p), int(l)) for p, l in zip(positions, labels))
             ref = pf.normal_form(raw, r)
             alt = randomized_normal_form(raw, r, rng)
@@ -68,6 +233,14 @@ class TestNormalForm:
     def test_exclusion_rejected(self):
         with pytest.raises(pf.FockError, match="exclusion"):
             pf.normal_form(((2, 1), (2, 3)), rm.paper_r(+1))
+
+    @pytest.mark.parametrize("label", (0, 5, -1))
+    def test_label_out_of_range_rejected(self, label):
+        r = rm.paper_r(+1)
+        with pytest.raises(pf.FockError, match="1..4"):
+            pf.normal_form(((5, label), (2, 1)), r)
+        with pytest.raises(pf.FockError, match="1..4"):
+            pf.create(pf.vacuum(r), 3, label, "back")
 
     def test_double_swap_is_identity(self):
         # involutivity: moving a particle past another and back changes nothing
@@ -262,6 +435,12 @@ class TestSerialization:
         data = [{"positions": [5, 2], "labels": [1, 1], "re": 1.0, "im": 0.0}]
         with pytest.raises(pf.FockError, match="normal form"):
             pf.load_state(data, r)
+
+    @pytest.mark.parametrize("label", (0, 9))
+    def test_rejects_label_out_of_range(self, label):
+        data = [{"positions": [2, 5], "labels": [1, label], "re": 1.0, "im": 0.0}]
+        with pytest.raises(pf.FockError, match="1..4"):
+            pf.load_state(data, rm.paper_r(+1))
 
     def test_lattice_validation(self):
         lat = pf.Lattice1D(10)

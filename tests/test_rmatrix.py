@@ -213,6 +213,10 @@ class TestSerialization:
             rm.load_rmatrix({"entries": []})
         with pytest.raises(rm.RMatrixError):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1.0]]})
+        for entries in (None, [None], [[1, None, 1, 1, 1.0, 0.0]],
+                        [[1, 1, 1, float("inf"), 1.0, 0.0]], [[1, 1, 1, 1, [], 0.0]]):
+            with pytest.raises(rm.RMatrixError):
+                rm.load_rmatrix({"m": 2, "entries": entries})
 
     @pytest.mark.parametrize("m", (0, -5, rm.MAX_M + 1, 1000))
     def test_rejects_m_outside_cap(self, m):
@@ -230,6 +234,11 @@ class TestSerialization:
         path = tmp_path / "r.json"
         rm.save_rmatrix(rm.paper_r(-1), path)
         assert rm.load_rmatrix(path).is_exact
+
+    def test_large_integer_value_not_snapped(self):
+        # 1e300 is integer-valued but no int64: it must stay a float entry
+        r = rm.load_rmatrix({"m": 1, "entries": [[1, 1, 1, 1, 1e300, 0.0]]})
+        assert not r.is_exact and r.entries[0, 0, 0, 0] == 1e300
 
 
 def test_builtin_lookup():
