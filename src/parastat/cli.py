@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -133,7 +134,10 @@ def cmd_verify_r(args) -> int:
 def cmd_derive_r(args) -> int:
     inputs = []
     if args.presentation:
-        pres = group_engine.load_presentation(args.presentation)
+        try:
+            pres = group_engine.load_presentation(args.presentation)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read presentation: {exc}") from exc
         inputs.append(args.presentation)
     else:
         pres = group_engine.gamma_presentation()
@@ -277,6 +281,17 @@ def cmd_gauge_check(args) -> int:
 # blocks per n (matrix power, states, Bob-slot density matrices): 192 KiB per n
 # at m = rmatrix.MAX_M = 8, about 19 MiB here, plus 9 bytes per trial per n.
 TWIST_N_MAX = 100
+# Largest --trials.  A twist trial keeps its draws and its row of the twist
+# CDF: about 1.7 KiB per trial at --n-max TWIST_N_MAX and m = 8.  A noise-sweep
+# trial keeps its noise events, label states and outcome CDF: about 3 KiB at
+# m = 8.  Either bound comes to about 0.9 GiB at worst.
+TWIST_TRIALS_MAX = 500_000
+NOISE_TRIALS_MAX = 300_000
+# Largest noise-sweep --noise-d: offsets are drawn as int64 in -d..d.
+NOISE_D_MAX = np.iinfo(np.int64).max - 1
+# Largest derive-r --order-bound.  The group's multiplication table takes
+# 8 * order^2 bytes: 128 MiB at this bound.
+ORDER_BOUND_MAX = 4096
 
 
 def _int_at_least(low: int, at_most: float = float("inf")):
@@ -316,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive-r", help="derive an R-matrix from a group presentation")
     p.add_argument("--presentation", help="presentation JSON (default: bundled order-128 group)")
-    p.add_argument("--order-bound", type=_int_at_least(1), default=2048)
+    p.add_argument("--order-bound", type=_int_at_least(1, at_most=ORDER_BOUND_MAX),
+                   default=2048, help=f"largest group order accepted, at most {ORDER_BOUND_MAX}")
     p.add_argument("--out-r", help="write the derived R-matrix here")
     p.set_defaults(func=cmd_derive_r)
 
@@ -331,16 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twist", help="repeated-exchange experiment")
     _add_r_source(p)
-    p.add_argument("--n-max", type=_int_at_least(0, at_most=TWIST_N_MAX), default=7)
-    p.add_argument("--trials", type=_int_at_least(1), default=10000)
+    p.add_argument("--n-max", type=_int_at_least(0, at_most=TWIST_N_MAX), default=7,
+                   help=f"at most {TWIST_N_MAX}")
+    p.add_argument("--trials", type=_int_at_least(1, at_most=TWIST_TRIALS_MAX), default=10000,
+                   help=f"at most {TWIST_TRIALS_MAX}")
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("noise-sweep", help="decode success vs corner standoff")
     _add_r_source(p)
     p.add_argument("--p", type=_probability, default=0.2)
-    p.add_argument("--trials", type=_int_at_least(1), default=2000)
+    p.add_argument("--trials", type=_int_at_least(1, at_most=NOISE_TRIALS_MAX), default=2000,
+                   help=f"per distance, at most {NOISE_TRIALS_MAX}")
     p.add_argument("--L", type=int, default=20)
-    p.add_argument("--noise-d", type=_int_at_least(0), default=1)
+    p.add_argument("--noise-d", type=_int_at_least(0, at_most=NOISE_D_MAX), default=1)
     p.add_argument("--noise-l", type=_int_at_least(0), default=2)
     p.set_defaults(func=cmd_noise_sweep)
 
@@ -359,7 +378,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush cannot fail, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -10,18 +10,23 @@ internal indices respond to trapping potentials with a delta structure in
 
 Everything is dimension-agnostic: a patch is just vertices, oriented edges,
 and signed plaquette cycles, so 2D patches exercise the same algebra the 3D
-construction uses.  States are sparse maps from edge configurations to
-amplitudes with a support cap, which limits groups to desk scale.
+construction uses.  A state is a sorted int64 array of configuration codes,
+code = sum_e digit_e |G|^(E-1-e) (so code order is tuple order), beside a
+complex128 array of amplitudes, with a support cap that limits groups to
+desk scale.  Operators act on all configurations at once and touch only the
+digits of the edges they read or change.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from .group_engine import FiniteGroup, Irrep
+
+PRUNE = 1e-14  # amplitudes at or below this are dropped after a merge
 
 
 class GaugeError(RuntimeError):
@@ -37,6 +42,10 @@ class GaugeLattice:
     plaquettes: tuple[tuple[tuple[int, int], ...], ...]  # ((edge, sign), ...)
 
     def __post_init__(self):
+        for e, ends in enumerate(self.edges):
+            if not all(0 <= x < self.n_vertices for x in ends):
+                raise GaugeError(f"edge {e} {ends} has an endpoint outside "
+                                 f"0..{self.n_vertices - 1}")
         for p in self.plaquettes:
             for e, sign in p:
                 if not 0 <= e < len(self.edges):
@@ -80,57 +89,159 @@ def ladder_2x3() -> GaugeLattice:
     return GaugeLattice(6, edges, plaq)
 
 
-@dataclass
-class GaugeState:
-    """Sparse wavefunction over per-edge group-element assignments."""
+def _place_values(G: FiniteGroup, lat: GaugeLattice) -> np.ndarray:
+    """|G|^(E-1-e) for each edge e; every code must fit int64."""
+    E = lat.n_edges
+    if G.order ** E - 1 > np.iinfo(np.int64).max:
+        raise GaugeError(f"{G.order}^{E} configurations do not fit int64 codes")
+    return np.array([G.order ** (E - 1 - e) for e in range(E)], dtype=np.int64)
 
-    group: FiniteGroup
-    lattice: GaugeLattice
-    amps: dict[tuple, complex] = field(default_factory=dict)
-    support_cap: int = 10 ** 6
+
+class GaugeState:
+    """Sparse wavefunction over per-edge group-element assignments.
+
+    Built from a {config tuple: amplitude} map; stored as sorted unique
+    `codes` and their `coeffs`.
+    """
+
+    def __init__(self, group: FiniteGroup, lattice: GaugeLattice, amps=(),
+                 support_cap: int = 10 ** 6):
+        amps = dict(amps)
+        self.group, self.lattice, self.support_cap = group, lattice, support_cap
+        self._place = _place_values(group, lattice)
+        codes = self._encode(list(amps))
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.coeffs = np.array(list(amps.values()), dtype=np.complex128)[order]
+
+    def _encode(self, configs: list) -> np.ndarray:
+        """The code of each config tuple."""
+        E, n = self.lattice.n_edges, self.group.order
+        if any(len(config) != E for config in configs):
+            raise GaugeError(f"configurations must have {E} edge labels")
+        digits = np.array(configs, dtype=np.int64).reshape(len(configs), E)
+        if digits.size and not (0 <= digits.min() and digits.max() < n):
+            raise GaugeError(f"edge labels must lie in 0..{n - 1}")
+        return digits @ self._place
+
+    def _like(self, codes: np.ndarray, coeffs: np.ndarray) -> "GaugeState":
+        """A state on the same group and lattice from sorted unique codes."""
+        out = object.__new__(GaugeState)
+        out.__dict__.update(self.__dict__, codes=codes, coeffs=coeffs)
+        return out
+
+    def _pruned(self, codes: np.ndarray, coeffs: np.ndarray) -> "GaugeState":
+        """Drop amplitudes at or below PRUNE and enforce the support cap."""
+        keep = np.abs(coeffs) > PRUNE
+        if np.count_nonzero(keep) > self.support_cap:
+            raise GaugeError(f"support cap exceeded: {np.count_nonzero(keep)} configurations")
+        return self._like(codes[keep], coeffs[keep])
+
+    def _union(self, other: "GaugeState") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted union of both supports and each state's amplitudes on it."""
+        keys, idx = np.unique(np.concatenate((self.codes, other.codes)), return_inverse=True)
+        mine, theirs = np.zeros((2, len(keys)), dtype=np.complex128)
+        mine[idx[:len(self.codes)]] = self.coeffs
+        theirs[idx[len(self.codes):]] = other.coeffs
+        return keys, mine, theirs
+
+    def _digits(self) -> "_Digits":
+        return _Digits(self.codes, self._place, self.group.order)
+
+    @property
+    def amps(self) -> "_Amplitudes":
+        """Read-only {config tuple: amplitude} view."""
+        return _Amplitudes(self)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.amps.values())))
+        return float(np.linalg.norm(self.coeffs))
 
     def normalized(self) -> "GaugeState":
         nrm = self.norm()
         if nrm == 0:
             raise GaugeError("zero state")
-        return GaugeState(self.group, self.lattice,
-                          {k: v / nrm for k, v in self.amps.items()}, self.support_cap)
+        return self._like(self.codes, self.coeffs / nrm)
 
     def axpy(self, other: "GaugeState", scale: complex = 1.0) -> "GaugeState":
-        amps = dict(self.amps)
-        for k, v in other.amps.items():
-            amps[k] = amps.get(k, 0.0) + scale * v
-        amps = {k: v for k, v in amps.items() if abs(v) > 1e-14}
-        if len(amps) > self.support_cap:
-            raise GaugeError(f"support cap exceeded: {len(amps)} configurations")
-        return GaugeState(self.group, self.lattice, amps, self.support_cap)
+        keys, mine, theirs = self._union(other)
+        return self._pruned(keys, mine + scale * theirs)
 
     def dot(self, other: "GaugeState") -> complex:
-        return sum(v.conjugate() * other.amps.get(k, 0.0) for k, v in self.amps.items())
+        _, mine, theirs = self._union(other)
+        return complex(np.vdot(mine, theirs))
 
     def distance(self, other: "GaugeState") -> float:
-        keys = set(self.amps) | set(other.amps)
-        return float(np.sqrt(sum(
-            abs(self.amps.get(k, 0.0) - other.amps.get(k, 0.0)) ** 2 for k in keys
-        )))
+        _, mine, theirs = self._union(other)
+        return float(np.linalg.norm(mine - theirs))
 
 
-def _holonomy(G: FiniteGroup, config, plaq) -> int:
+class _Digits:
+    """digits[e]: the element on edge e of every code, decoded on access."""
+
+    def __init__(self, codes: np.ndarray, place: np.ndarray, n: int):
+        self.codes, self.place, self.n = codes, place, n
+
+    def __getitem__(self, e: int) -> np.ndarray:
+        return self.codes // self.place[e] % self.n
+
+
+class _Amplitudes(Mapping):
+    """{config tuple: amplitude} over a state's arrays."""
+
+    def __init__(self, state: GaugeState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.codes)
+
+    def __iter__(self):
+        s = self._state
+        return map(tuple, (s.codes[:, None] // s._place % s.group.order).tolist())
+
+    def __getitem__(self, config) -> complex:
+        s = self._state
+        try:
+            code = s._encode([config])[0]
+        except (GaugeError, TypeError, ValueError):
+            raise KeyError(config) from None
+        i = np.searchsorted(s.codes, code)
+        if i == len(s.codes) or s.codes[i] != code:
+            raise KeyError(config)
+        return complex(s.coeffs[i])
+
+
+def _accumulate(codes: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique codes and the summed amplitudes of each."""
+    keys, idx = np.unique(codes, return_inverse=True)
+    sums = np.empty(len(keys), dtype=np.complex128)
+    sums.real = np.bincount(idx, coeffs.real, len(keys))
+    sums.imag = np.bincount(idx, coeffs.imag, len(keys))
+    return keys, sums
+
+
+def _holonomy(G: FiniteGroup, config, plaq):
     """Plaquette loop product in the gauge-covariant order.
 
     With tail edges transforming h -> h g^-1 and head edges h -> g h, the
     product that conjugates covariantly under gauge transformations stacks
     later traversal steps on the LEFT: K = h~_n ... h~_2 h~_1, where h~ is
-    the edge element along orientation and its inverse against.
+    the edge element along orientation and its inverse against.  config[e]
+    is one element index, or an array of them (one per configuration).
+
+    The same product along an open path is the covariant parallel transport
+    from its start to its end vertex, K -> g_end K g_start^-1, so on flat
+    configurations it depends only on the homotopy class of the path.
     """
     h = 0  # identity element index
     for e, sign in plaq:
-        he = config[e] if sign > 0 else int(G.inv[config[e]])
-        h = int(G.mult[he, h])
+        he = config[e] if sign > 0 else G.inv[config[e]]
+        h = G.mult[he, h]
     return h
+
+
+def _path_product(state: GaugeState, path) -> np.ndarray:
+    """_holonomy along path for every configuration of state."""
+    return np.broadcast_to(_holonomy(state.group, state._digits(), path), state.codes.shape)
 
 
 def gauge_shift(G: FiniteGroup, lat: GaugeLattice, config: tuple, v: int, g: int) -> tuple:
@@ -144,34 +255,43 @@ def gauge_shift(G: FiniteGroup, lat: GaugeLattice, config: tuple, v: int, g: int
     return tuple(out)
 
 
-def apply_l(state: GaugeState, v: int, g: int) -> GaugeState:
-    amps = {}
-    for config, c in state.amps.items():
-        key = gauge_shift(state.group, state.lattice, config, v, g)
-        amps[key] = amps.get(key, 0.0) + c
-    return GaugeState(state.group, state.lattice, amps, state.support_cap)
+def _gauge_sum(state: GaugeState, v: int, weights: np.ndarray) -> GaugeState:
+    """sum_g weights[g] L_v^g |state>, over the g with a nonzero weight.
+
+    Row i of the code array is L_v^(g_i) applied to every configuration;
+    only the digits of edges at v change.
+    """
+    G = state.group
+    g = np.flatnonzero(weights)[:, None]
+    codes = np.repeat(state.codes[None, :], len(g), axis=0)
+    digits = state._digits()
+    for e, (tail, head) in enumerate(state.lattice.edges):
+        if v not in (tail, head):
+            continue
+        old = digits[e]
+        new = G.mult[old, G.inv[g]] if tail == v else old
+        new = G.mult[g, new] if head == v else new
+        codes += (new - old) * state._place[e]
+    return state._pruned(*_accumulate(codes.ravel(), (weights[g] * state.coeffs).ravel()))
 
 
 def vertex_projector(state: GaugeState, v: int) -> GaugeState:
     """Group average of the gauge action at v (a projector)."""
-    G = state.group
-    out = GaugeState(G, state.lattice, {}, state.support_cap)
-    for g in range(G.order):
-        out = out.axpy(apply_l(state, v, g), 1.0 / G.order)
-    return out
+    n = state.group.order
+    return _gauge_sum(state, v, np.full(n, 1.0 / n))
 
 
 def plaquette_projector(state: GaugeState, p: int) -> GaugeState:
     """Flat-holonomy projector: keeps configurations with trivial loop product."""
-    G = state.group
-    plaq = state.lattice.plaquettes[p]
-    amps = {k: v for k, v in state.amps.items() if _holonomy(G, k, plaq) == 0}
-    return GaugeState(G, state.lattice, amps, state.support_cap)
+    flat = _path_product(state, state.lattice.plaquettes[p]) == 0
+    return state._like(state.codes[flat], state.coeffs[flat])
 
 
 def ground_state(G: FiniteGroup, lat: GaugeLattice, support_cap: int = 10 ** 6) -> GaugeState:
     """Uniform superposition over flat configurations.
 
+    Configurations grow one edge at a time (codes stay sorted), and a
+    plaquette's flatness filter runs as soon as its last edge is placed.
     Gauge transformations permute flat configurations, so this state already
     sits in the image of every vertex projector; the projector conditions
     are re-verified in the test suite rather than assumed.
@@ -181,11 +301,17 @@ def ground_state(G: FiniteGroup, lat: GaugeLattice, support_cap: int = 10 ** 6) 
         raise GaugeError(
             f"ground state would enumerate {total} configurations (cap {support_cap})"
         )
-    amps = {}
-    for config in itertools.product(range(G.order), repeat=lat.n_edges):
-        if all(_holonomy(G, config, p) == 0 for p in lat.plaquettes):
-            amps[config] = 1.0 + 0.0j
-    return GaugeState(G, lat, amps, support_cap).normalized()
+    state = GaugeState(G, lat, {}, support_cap)
+    closing = {}
+    for plaq in filter(None, lat.plaquettes):
+        closing.setdefault(max(e for e, _ in plaq), []).append(plaq)
+    codes = np.zeros(1, dtype=np.int64)
+    for e in range(lat.n_edges):
+        codes = (codes[:, None] * G.order + np.arange(G.order)).ravel()
+        for plaq in closing.get(e, ()):
+            digits = _Digits(codes, G.order ** np.arange(e, -1, -1), G.order)
+            codes = codes[_holonomy(G, digits, plaq) == 0]
+    return state._like(codes, np.ones(len(codes), dtype=np.complex128)).normalized()
 
 
 @dataclass(frozen=True)
@@ -196,20 +322,6 @@ class WilsonLine:
     path: tuple[tuple[int, int], ...]  # ((edge, sign), ...)
 
 
-def _transport(G: FiniteGroup, config, path) -> int:
-    """Covariant parallel transport from the path's start to its end vertex.
-
-    Same reverse-order stacking as _holonomy: K transforms as
-    K -> g_end K g_start^-1, so on flat configurations K depends only on the
-    homotopy class of the path.
-    """
-    k = 0
-    for e, sign in path:
-        he = config[e] if sign > 0 else int(G.inv[config[e]])
-        k = int(G.mult[he, k])
-    return k
-
-
 def apply_wilson_line(state: GaugeState, w: WilsonLine, a: int, b: int) -> GaugeState:
     """Open-index string operator: amplitude factor [psi(K)]_{ab} per config.
 
@@ -218,24 +330,14 @@ def apply_wilson_line(state: GaugeState, w: WilsonLine, a: int, b: int) -> Gauge
     its START.  Trapping potentials couple to (psi, a) at the end and to
     (conjugate psi, b) at the start.
     """
-    G = state.group
-    amps = {}
-    for config, c in state.amps.items():
-        factor = w.psi.matrices[_transport(G, config, w.path)][a, b]
-        if abs(factor * c) > 1e-14:
-            amps[config] = c * factor
-    return GaugeState(G, state.lattice, amps, state.support_cap)
+    factors = w.psi.matrices[_path_product(state, w.path), a, b]
+    return state._pruned(state.codes, state.coeffs * factors)
 
 
 def apply_wilson_loop(state: GaugeState, w: WilsonLine) -> GaugeState:
     """Closed string operator: the trace over the open indices."""
-    G = state.group
-    amps = {}
-    for config, c in state.amps.items():
-        factor = np.trace(w.psi.matrices[_transport(G, config, w.path)])
-        if abs(factor * c) > 1e-14:
-            amps[config] = c * factor
-    return GaugeState(G, state.lattice, amps, state.support_cap)
+    traces = np.trace(w.psi.matrices, axis1=1, axis2=2)
+    return state._pruned(state.codes, state.coeffs * traces[_path_product(state, w.path)])
 
 
 def verify_deformation(g0: GaugeState, w1: WilsonLine, w2: WilsonLine,
@@ -258,12 +360,8 @@ def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int,
     |G|/d_phi at the path's end vertex when (phi, c) = (psi, a), at the
     start vertex when (phi, c) = (conjugate psi, b), and 0 otherwise.
     """
-    G = state.group
-    out = GaugeState(G, state.lattice, {}, state.support_cap)
-    for g in range(G.order):
-        coeff = phi.matrices[g][c_index, c_index]
-        if abs(coeff) > 1e-15:
-            out = out.axpy(apply_l(state, v, g), coeff)
+    weights = phi.matrices[:, c_index, c_index]
+    out = _gauge_sum(state, v, np.where(np.abs(weights) > 1e-15, weights, 0))
     nrm2 = state.dot(state)
     lam = state.dot(out) / nrm2
     residual = out.axpy(state, -lam).norm()

@@ -29,6 +29,9 @@ import numpy as np
 from .rmatrix import RMatrix, from_map, as_map
 
 _MAX_RETRIES = 12
+# Most conjugacy classes character_table accepts: its class-algebra tensors
+# hold 2 * 8 * k^3 bytes, 256 MiB here (an abelian group has k = |G|).
+MAX_CLASSES = 256
 
 
 class GroupError(RuntimeError):
@@ -57,11 +60,15 @@ class GroupPresentation:
 
 
 def presentation_from_dict(data: dict) -> GroupPresentation:
-    return GroupPresentation(
-        tuple(data["generators"]),
-        tuple(tuple(rel) for rel in data["relations"]),
-        bool(data.get("derived_supplementary", False)),
-    )
+    try:
+        gens = tuple(data["generators"])
+        rels = tuple(tuple(rel) for rel in data["relations"])
+        supplementary = bool(data.get("derived_supplementary", False))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise GroupError(f"malformed presentation: {exc!r}") from exc
+    if not all(isinstance(tok, str) for word in (gens,) + rels for tok in word):
+        raise GroupError("generator names and relator tokens must be strings")
+    return GroupPresentation(gens, rels, supplementary)
 
 
 def load_presentation(source) -> GroupPresentation:
@@ -301,6 +308,8 @@ def character_table(G: FiniteGroup) -> np.ndarray:
         return G._chartable
     n = G.order
     k = G.n_classes
+    if k > MAX_CLASSES:
+        raise GroupError(f"{k} conjugacy classes: character tables stop at {MAX_CLASSES}")
     sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
     counts = np.zeros((k, k, k))
     cls = G.class_of

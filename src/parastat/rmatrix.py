@@ -19,6 +19,7 @@ checks on them are exact; general R-matrices use complex floats.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -254,12 +255,21 @@ def save_rmatrix(r: RMatrix, path) -> None:
         json.dump({"m": r.m, "entries": rows}, fh, indent=1)
 
 
+def _whole(x) -> int:
+    """A JSON integer, or a float with an integer value; no bool or string."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TypeError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def load_rmatrix(source) -> RMatrix:
     """Read the sparse JSON form.
 
-    Rejects m outside 1..MAX_M before the dense tensor is allocated, then
-    rows that are not six numbers, out-of-range indices, duplicates and
-    non-finite values.
+    Rejects an m that is no integer or lies outside 1..MAX_M before the
+    dense tensor is allocated, then rows that are not six numbers, indices
+    that are no integers or out of range, duplicates and non-finite values.
     """
     if isinstance(source, dict):
         data = source
@@ -269,9 +279,9 @@ def load_rmatrix(source) -> RMatrix:
         with open(source) as fh:
             data = json.load(fh)
     try:
-        m = int(data["m"])
+        m = _whole(data["m"])
         rows = list(data["entries"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise RMatrixError(f"malformed R-matrix file: {exc}") from exc
     if not 1 <= m <= MAX_M:
         raise RMatrixError(f"m must lie in 1..{MAX_M}, got {m}")
@@ -280,7 +290,7 @@ def load_rmatrix(source) -> RMatrix:
     for row in rows:
         try:
             bp, ap, a, b, re, im = row
-            bp, ap, a, b = (int(i) for i in (bp, ap, a, b))
+            bp, ap, a, b = (_whole(i) for i in (bp, ap, a, b))
             value = complex(float(re), float(im))
         except (TypeError, ValueError, OverflowError) as exc:
             raise RMatrixError(f"malformed entry row {row!r}: {exc}") from exc

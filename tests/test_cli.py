@@ -66,6 +66,9 @@ class TestVerifyR:
         {"m": 1000, "entries": []},
         {"m": 2, "entries": [[1, 1, 1, 1, "nan", 0.0]]},
         {"m": float("inf"), "entries": []},
+        {"m": 2.9, "entries": []},
+        {"m": 2, "entries": [[1.7, 1, 1, 1, 1.0, 0.0]]},
+        {"m": 2, "entries": [[True, 1, 1, 1, 1.0, 0.0]]},
     ))
     def test_invalid_r_matrix_is_domain_failure(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
@@ -210,6 +213,10 @@ class TestNoiseSweep:
     ("derive-r", "--order-bound", "0"),
     ("derive-r", "--order-bound", "-5"),
     ("twist", "--builtin", "paper3d", "--n-max", str(cli.TWIST_N_MAX + 1)),
+    ("twist", "--builtin", "paper3d", "--trials", str(cli.TWIST_TRIALS_MAX + 1)),
+    ("noise-sweep", "--builtin", "paper3d", "--trials", str(cli.NOISE_TRIALS_MAX + 1)),
+    ("derive-r", "--order-bound", str(cli.ORDER_BOUND_MAX + 1)),
+    ("noise-sweep", "--builtin", "paper3d", "--noise-d", str(2 ** 63)),
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -290,3 +297,79 @@ def test_cli_import_leaves_sympy_out():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_closed_stdout_exits_without_traceback():
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run([sys.executable, "-m", "parastat.cli", "verify-r",
+                               "--builtin", "paper3d"], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ("missing.json", ".", "enumeration_fixtures.json"))
+def test_unusable_presentation_exits_cleanly(capsys, name):
+    path = Path(__file__).parent / name
+    code, out, err = run(capsys, "derive-r", "--presentation", str(path))
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# argv fuzzing: every subcommand with odd, huge, out-of-range or missing values
+TESTS_DIR = Path(__file__).parent
+SMALL = st.integers(-3, 40).map(str)
+ODD_TEXT = st.sampled_from(("", "x", "1.5", "-", "nan", "inf", "0x1f", "1e3", "--", "٣"))
+HUGE = st.sampled_from([str(n) for n in (10 ** 20, 2 ** 63, cli.TWIST_TRIALS_MAX + 1,
+                                          cli.NOISE_TRIALS_MAX + 1, cli.ORDER_BOUND_MAX + 1)])
+NUMBER = st.one_of(SMALL, ODD_TEXT, HUGE)
+SHORT = st.one_of(SMALL, ODD_TEXT)  # flags whose cost grows with the value
+PROBABILITY = st.sampled_from(("0", "0.5", "1", "-0.1", "1.5", "nan", "x"))
+PATH = st.sampled_from([str(TESTS_DIR / n) for n in
+                        ("missing.json", ".", "enumeration_fixtures.json", "conftest.py")])
+R_SOURCE = [("--builtin", st.sampled_from(("paper2d", "paper3d", "trivial2", "trivial9",
+                                           "braid-fixture", "nope", ""))),
+            ("--input", PATH)]
+GLOBAL_FLAGS = [("--seed", NUMBER), ("--tol", st.sampled_from(("1e-9", "0", "-1", "nan", "x"))),
+                ("--format", st.sampled_from(("json", "csv", "xml")))]
+SUBCOMMAND_FLAGS = {
+    "verify-r": R_SOURCE,
+    "derive-r": [("--presentation", PATH), ("--order-bound", NUMBER)],
+    "simulate": R_SOURCE + [("--a", SHORT), ("--b", SHORT), ("--L", SHORT),
+                            ("--r0", SHORT), ("--all-pairs", None)],
+    "twist": R_SOURCE + [("--n-max", NUMBER), ("--trials", st.one_of(SHORT, HUGE))],
+    "noise-sweep": R_SOURCE + [("--p", PROBABILITY), ("--trials", st.one_of(SHORT, HUGE)),
+                               ("--L", SHORT), ("--noise-d", NUMBER), ("--noise-l", SHORT)],
+    "gauge-check": [("--group", st.sampled_from(("Z2", "S3", "D4", "A5", "z2", ""))),
+                    ("--patch", st.sampled_from(("2x2", "3x3", "")))],
+}
+
+
+@st.composite
+def argvs(draw):
+    def flags(options):
+        out = []
+        for flag, value in options:
+            if draw(st.booleans()):
+                out += [flag] if value is None else [flag, draw(value)]
+        return out
+
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    return flags(GLOBAL_FLAGS) + [command] + flags(SUBCOMMAND_FLAGS[command])
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=argvs())
+def test_cli_survives_any_argv(argv):
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

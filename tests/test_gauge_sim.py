@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,218 @@ class TestStateOps:
             g = int(rng.integers(G.order))
             cfg = gs.gauge_shift(G, patch, cfg, v, g)
             assert gs._holonomy(G, cfg, patch.plaquettes[0]) == 0
+
+
+class TestValidation:
+    def test_edge_endpoint_outside_vertices_rejected(self):
+        with pytest.raises(gs.GaugeError, match="endpoint"):
+            gs.GaugeLattice(2, ((0, 5),), ())
+        with pytest.raises(gs.GaugeError, match="endpoint"):
+            gs.GaugeLattice(2, ((-1, 1),), ())
+
+    def test_codes_that_overflow_int64_rejected(self, small_groups):
+        # 8^21 - 1 < 2^63 <= 8^22 - 1: one more edge no longer fits
+        G = small_groups["D4"]
+
+        def chain(n):
+            return gs.GaugeLattice(n + 1, tuple((i, i + 1) for i in range(n)), ())
+
+        state = gs.GaugeState(G, chain(21), {(7,) * 21: 1.0})
+        assert next(iter(state.amps)) == (7,) * 21
+        with pytest.raises(gs.GaugeError, match="int64"):
+            gs.GaugeState(G, chain(22), {})
+        with pytest.raises(gs.GaugeError, match="int64"):
+            gs.ground_state(G, chain(22), support_cap=10 ** 30)
+
+    def test_bad_configuration_rejected(self, small_groups, patch):
+        G = small_groups["S3"]
+        with pytest.raises(gs.GaugeError, match="edge labels"):
+            gs.GaugeState(G, patch, {(0, 0, 0): 1.0})
+        with pytest.raises(gs.GaugeError, match="0..5"):
+            gs.GaugeState(G, patch, {(0, 0, 0, 6): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# reference: the former implementation, states as {config tuple: amplitude}
+
+
+def ref_holonomy(G, config, plaq):
+    h = 0
+    for e, sign in plaq:
+        he = config[e] if sign > 0 else int(G.inv[config[e]])
+        h = int(G.mult[he, h])
+    return h
+
+
+def ref_axpy(amps, other, scale=1.0):
+    out = dict(amps)
+    for k, v in other.items():
+        out[k] = out.get(k, 0.0) + scale * v
+    return {k: v for k, v in out.items() if abs(v) > 1e-14}
+
+
+def ref_dot(amps, other):
+    return sum(v.conjugate() * other.get(k, 0.0) for k, v in amps.items())
+
+
+def ref_distance(amps, other):
+    keys = set(amps) | set(other)
+    return float(np.sqrt(sum(abs(amps.get(k, 0.0) - other.get(k, 0.0)) ** 2 for k in keys)))
+
+
+def ref_apply_l(G, lat, amps, v, g):
+    out = {}
+    for config, c in amps.items():
+        key = list(config)
+        for e, (tail, head) in enumerate(lat.edges):
+            if tail == v:
+                key[e] = int(G.mult[key[e], G.inv[g]])
+            if head == v:
+                key[e] = int(G.mult[g, key[e]])
+        out[tuple(key)] = out.get(tuple(key), 0.0) + c
+    return out
+
+
+def ref_vertex_projector(G, lat, amps, v):
+    out = {}
+    for g in range(G.order):
+        out = ref_axpy(out, ref_apply_l(G, lat, amps, v, g), 1.0 / G.order)
+    return out
+
+
+def ref_plaquette_projector(G, lat, amps, p):
+    return {k: c for k, c in amps.items() if ref_holonomy(G, k, lat.plaquettes[p]) == 0}
+
+
+def ref_ground_state(G, lat):
+    amps = {config: 1.0 + 0.0j
+            for config in itertools.product(range(G.order), repeat=lat.n_edges)
+            if all(ref_holonomy(G, config, p) == 0 for p in lat.plaquettes)}
+    nrm = np.sqrt(sum(abs(c) ** 2 for c in amps.values()))
+    return {k: c / nrm for k, c in amps.items()}
+
+
+def ref_wilson(G, amps, w, entry):
+    out = {}
+    for config, c in amps.items():
+        factor = entry(w.psi.matrices[ref_holonomy(G, config, w.path)])
+        if abs(factor * c) > 1e-14:
+            out[config] = c * factor
+    return out
+
+
+def ref_trapping_check(G, lat, amps, v, phi, c_index, tol=1e-8):
+    out = {}
+    for g in range(G.order):
+        coeff = phi.matrices[g][c_index, c_index]
+        if abs(coeff) > 1e-15:
+            out = ref_axpy(out, ref_apply_l(G, lat, amps, v, g), coeff)
+    nrm2 = ref_dot(amps, amps)
+    lam = ref_dot(amps, out) / nrm2
+    residual = np.sqrt(sum(abs(c) ** 2 for c in ref_axpy(out, amps, -lam).values()))
+    if residual > tol * max(1.0, abs(lam)) * np.sqrt(abs(nrm2)) + tol:
+        raise gs.GaugeError("not a two-excitation Wilson state")
+    return lam
+
+
+CASES = [("Z2", "patch"), ("S3", "patch"), ("D4", "patch"), ("Z2", "ladder"), ("S3", "ladder")]
+PATHS = {  # (open path from start to end vertex, closed loop)
+    "patch": (((0, +1), (3, +1)), ((0, +1), (3, +1), (1, -1), (2, -1))),
+    "ladder": (((0, +1), (5, +1), (3, +1)), ((0, +1), (6, +1), (3, -1), (5, -1))),
+}
+
+
+def random_amps(G, lat, seed, n=60):
+    rng = np.random.default_rng(seed)
+    configs = rng.integers(0, G.order, (n, lat.n_edges))
+    # magnitudes from 1e-10 to 1, so dropping small amplitudes would show
+    values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-10, 1, n)
+    return {tuple(int(x) for x in c): complex(v) for c, v in zip(configs, values)}
+
+
+def gap(state, amps):
+    """Norm distance between a state and a reference map."""
+    return ref_distance(dict(state.amps), amps)
+
+
+@pytest.mark.parametrize("name, shape", CASES)
+class TestAgainstReference:
+    """The array implementation equals the former dict one to 1e-12."""
+
+    def setup(self, small_groups, name, shape):
+        G = small_groups[name]
+        lat = gs.patch_2x2() if shape == "patch" else gs.ladder_2x3()
+        return G, lat
+
+    def test_state_arithmetic(self, small_groups, name, shape):
+        G, lat = self.setup(small_groups, name, shape)
+        a, b = random_amps(G, lat, 1), random_amps(G, lat, 2)
+        b.update(list(a.items())[:20])  # some overlap
+        sa, sb = gs.GaugeState(G, lat, a), gs.GaugeState(G, lat, b)
+        assert dict(sa.amps) == a
+        assert abs(sa.dot(sb) - ref_dot(a, b)) <= 1e-12
+        assert abs(sa.distance(sb) - ref_distance(a, b)) <= 1e-12
+        assert gap(sa.axpy(sb, 0.5 - 2j), ref_axpy(a, b, 0.5 - 2j)) <= 1e-12
+        assert abs(sa.norm() - np.sqrt(ref_dot(a, a).real)) <= 1e-12
+
+    def test_projectors(self, small_groups, name, shape):
+        G, lat = self.setup(small_groups, name, shape)
+        for seed in range(3):
+            amps = random_amps(G, lat, 10 + seed)
+            state = gs.GaugeState(G, lat, amps)
+            for v in range(lat.n_vertices):
+                want = ref_vertex_projector(G, lat, amps, v)
+                assert gap(gs.vertex_projector(state, v), want) <= 1e-12
+            for p in range(len(lat.plaquettes)):
+                want = ref_plaquette_projector(G, lat, amps, p)
+                assert gap(gs.plaquette_projector(state, p), want) <= 1e-12
+
+    def test_ground_state(self, small_groups, name, shape):
+        G, lat = self.setup(small_groups, name, shape)
+        g0 = gs.ground_state(G, lat)
+        assert len(g0.amps) == G.order ** (lat.n_edges - len(lat.plaquettes))
+        assert gap(g0, ref_ground_state(G, lat)) <= 1e-12
+
+    def test_wilson_line_and_loop(self, small_groups, name, shape):
+        G, lat = self.setup(small_groups, name, shape)
+        psi = nontrivial_irrep(G)
+        line, loop = PATHS[shape]
+        for amps in (random_amps(G, lat, 20), random_amps(G, lat, 21)):
+            state = gs.GaugeState(G, lat, amps)
+            for a in range(psi.dim):
+                for b in range(psi.dim):
+                    got = gs.apply_wilson_line(state, gs.WilsonLine(psi, line), a, b)
+                    want = ref_wilson(G, amps, gs.WilsonLine(psi, line), lambda m: m[a, b])
+                    assert gap(got, want) <= 1e-12
+            got = gs.apply_wilson_loop(state, gs.WilsonLine(psi, loop))
+            assert gap(got, ref_wilson(G, amps, gs.WilsonLine(psi, loop), np.trace)) <= 1e-12
+
+    def test_trapping_check(self, small_groups, name, shape):
+        G, lat = self.setup(small_groups, name, shape)
+        psi = nontrivial_irrep(G)
+        line = gs.WilsonLine(psi, PATHS[shape][0])
+        exc = gs.apply_wilson_line(gs.ground_state(G, lat), line, 0, psi.dim - 1)
+        amps = dict(exc.amps)
+        end = lat.edges[line.path[-1][0]][1]
+        noisy = gs.GaugeState(G, lat, random_amps(G, lat, 30))
+        checked = 0
+        for state in (exc, noisy):
+            amps = dict(state.amps)
+            for v in (0, end, 2):  # start, end and one vertex off the line
+                for phi in (psi, gs.conjugate_irrep(psi)):
+                    for c in range(phi.dim):
+                        got = outcome(gs.trapping_check, state, v, phi, c)
+                        want = outcome(ref_trapping_check, G, lat, amps, v, phi, c)
+                        assert type(got) is type(want)
+                        if isinstance(got, complex):
+                            assert abs(got - want) <= 1e-12
+                            checked += 1
+        assert checked >= 4
+
+
+def outcome(fn, *args):
+    """fn(*args) as a complex, or the GaugeError it raised."""
+    try:
+        return complex(fn(*args))
+    except gs.GaugeError as exc:
+        return exc

@@ -75,6 +75,12 @@ class TestEnumeration:
         }))
         assert ge.load_presentation(path) == pres
 
+    @pytest.mark.parametrize("data", ({"relations": []}, {"generators": 3, "relations": []},
+                                      {"generators": ["a"], "relations": [["a", 2]]}))
+    def test_malformed_presentation_rejected(self, data):
+        with pytest.raises(ge.GroupError):
+            ge.presentation_from_dict(data)
+
 
 def _loose_gamma():
     """The bundled presentation without its supplementary relation (order 256)."""
@@ -116,6 +122,12 @@ def test_enumeration_matches_recorded_tables(name):
 
 
 class TestCharacters:
+    def test_too_many_classes_rejected_before_allocating(self):
+        cyclic = ge.enumerate_group(ge.GroupPresentation(("a",), (("a",) * 300,)))
+        assert cyclic.n_classes == 300 > ge.MAX_CLASSES
+        with pytest.raises(ge.GroupError, match="conjugacy classes"):
+            ge.character_table(cyclic)
+
     def test_z2_table(self, small_groups):
         tbl = ge.character_table(small_groups["Z2"])
         assert sorted(tuple(np.round(row.real).astype(int)) for row in tbl) == [

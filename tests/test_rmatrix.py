@@ -217,6 +217,13 @@ class TestSerialization:
                         [[1, 1, 1, float("inf"), 1.0, 0.0]], [[1, 1, 1, 1, [], 0.0]]):
             with pytest.raises(rm.RMatrixError):
                 rm.load_rmatrix({"m": 2, "entries": entries})
+        # int() would truncate these to m = 2 or index 1
+        for m in (2.9, True, "2"):
+            with pytest.raises(rm.RMatrixError, match="not an integer"):
+                rm.load_rmatrix({"m": m, "entries": []})
+        for index in (1.7, True, "1"):
+            with pytest.raises(rm.RMatrixError, match="not an integer"):
+                rm.load_rmatrix({"m": 2, "entries": [[index, 1, 1, 1, 1.0, 0.0]]})
 
     @pytest.mark.parametrize("m", (0, -5, rm.MAX_M + 1, 1000))
     def test_rejects_m_outside_cap(self, m):
