@@ -234,8 +234,10 @@ def cmd_gauge_check(args) -> int:
         raise CliError("only the 2x2 patch is shipped")
     G = group_engine.enumerate_group(group_engine.NAMED_PRESENTATIONS[args.group]())
     lat = gauge_sim.patch_2x2()
-    residuals = gauge_sim.commutator_residuals(G, lat, seed=args.seed)
+    # the ground state refuses oversized groups at once; the projector checks
+    # would first spend seconds on them.  Neither call draws the other's numbers.
     g0 = gauge_sim.ground_state(G, lat)
+    residuals = gauge_sim.commutator_residuals(G, lat, seed=args.seed)
     va = gauge_sim.vertex_expectations(g0)
     pa = gauge_sim.plaquette_expectations(g0)
     reps = group_engine.irreps(G)
@@ -289,6 +291,16 @@ TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d: offsets are drawn as int64 in -d..d.
 NOISE_D_MAX = np.iinfo(np.int64).max - 1
+# Largest chain length, simulate --L and noise-sweep --L.  A game moves each
+# particle across the chain and logs every step: about 35 us and 0.8 KiB of
+# transcript per site, and --all-pairs keeps m^2 transcripts, so 64 of them at
+# m = 8: about 0.5 GiB and 20 s at this bound.  noise-sweep only checks L.
+CHAIN_L_MAX = 10_000
+# Largest noise-sweep --noise-l.  The sweep runs --trials trials at each of
+# the noise_l + 3 distances, in flat memory: about 11 ms per distance at the
+# default 2000 trials and m = 4, so about 1 s at this bound; at
+# NOISE_TRIALS_MAX and m = 8 a distance takes about 4 s.
+NOISE_L_MAX = 100
 # Largest derive-r --order-bound.  The group's multiplication table takes
 # 8 * order^2 bytes: 128 MiB at this bound.
 ORDER_BOUND_MAX = 4096
@@ -340,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_r_source(p)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
-    p.add_argument("--L", type=int, default=20)
+    p.add_argument("--L", type=_int_at_least(2, at_most=CHAIN_L_MAX), default=20,
+                   help=f"chain length, at most {CHAIN_L_MAX}")
     p.add_argument("--r0", type=int, default=3)
     p.add_argument("--all-pairs", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -358,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_probability, default=0.2)
     p.add_argument("--trials", type=_int_at_least(1, at_most=NOISE_TRIALS_MAX), default=2000,
                    help=f"per distance, at most {NOISE_TRIALS_MAX}")
-    p.add_argument("--L", type=int, default=20)
+    p.add_argument("--L", type=_int_at_least(2, at_most=CHAIN_L_MAX), default=20,
+                   help=f"chain length, at most {CHAIN_L_MAX}")
     p.add_argument("--noise-d", type=_int_at_least(0, at_most=NOISE_D_MAX), default=1)
-    p.add_argument("--noise-l", type=_int_at_least(0), default=2)
+    p.add_argument("--noise-l", type=_int_at_least(0, at_most=NOISE_L_MAX), default=2,
+                   help=f"at most {NOISE_L_MAX}")
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("gauge-check", help="lattice-gauge validation suite")

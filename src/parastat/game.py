@@ -459,12 +459,14 @@ def _haar(m: int, count: int, rng) -> np.ndarray:
 
 
 def eavesdrop_check(r: RMatrix, windows, L: int = 20) -> float:
-    """Maximum trace distance any window observer can see across secrets.
+    """Largest trace distance between window occupation patterns across secrets.
 
     For every (a, b) pair, prepares the mid-game state (both particles in
     the bulk, exchange completed) and computes the label-blind occupation
     distribution on each window; returns the largest trace distance between
-    any two (a, b) choices.  The claim is 0: local windows learn nothing.
+    any two (a, b) choices.  Positions never depend on labels, so this is 0
+    for every R (trivial ones included): it checks that the Fock layer's
+    window observables are label-blind, not a property of the paper's R.
     """
     lat = pf.Lattice1D(L)
     m = r.m

@@ -6,9 +6,14 @@ list costs R-matrix factors: swapping adjacent out-of-order entries
 (p, a), (q, b) with p > q produces sum_{a',b'} R^{b'a'}_{ab} (q, b'), (p, a').
 Only such descents are swapped, so the braid relation alone makes the normal
 form independent of the swap sequence; involutivity is what makes moving a
-particle past another and back the identity.  Each swap acts on the whole
-superposition and merges equal configurations at once, so sorting costs
-O(swaps x support) configuration updates, not one pass per branch.
+particle past another and back the identity.
+
+A swap moves positions and labels together, but which slots get swapped is
+decided by the positions alone, never by the labels.  So every configuration
+that shares a position tuple follows the same swaps: they are computed once
+per position tuple (an insertion sort, O(n + swaps)), then applied to all of
+its label tuples at once, merging equal ones after each swap.  Sorting costs
+O(n + swaps x support) label-tuple updates, not one pass per branch.
 
 Positions are arbitrary integers; geometry only enters through their order.
 Two particles never share a position (exclusion is rejected, not modeled).
@@ -83,59 +88,98 @@ def _accumulate(amps: dict, cfg: Config, coeff: complex) -> None:
         amps[cfg] = new
 
 
-def _first_descent(cfg: Config) -> int | None:
-    return next((i for i in range(len(cfg) - 1) if cfg[i][0] > cfg[i + 1][0]), None)
+_OCCUPIED = "position occupied twice: exclusion statistics not modeled"
 
 
 def _config(pairs, m: int) -> Config:
     """A raw (position, label) list as a Config: distinct positions, labels 1..m."""
     cfg = tuple((int(p), int(l)) for p, l in pairs)
     if len({p for p, _ in cfg}) != len(cfg):
-        raise FockError("position occupied twice: exclusion statistics not modeled")
+        raise FockError(_OCCUPIED)
     if not all(1 <= l <= m for _, l in cfg):
         raise FockError(f"labels must lie in 1..{m}, got {[l for _, l in cfg]}")
     return cfg
 
 
-def _exchange(amps: dict, t: np.ndarray, slot) -> dict:
-    """Swap entries k, k+1 of every configuration, k = slot(cfg), merging equal
-    results after each pass, until slot returns None for every configuration.
-    t is indexed like RMatrix.entries: (x, u), (y, v) -> t[i-1, j-1, u-1, v-1] (y, i), (x, j).
+def _groups(amps: dict) -> dict:
+    """{config: amplitude} as {position tuple: {label tuple: amplitude}}."""
+    out: dict[tuple, dict[tuple, complex]] = {}
+    for cfg, c in amps.items():
+        positions, labels = zip(*cfg) if cfg else ((), ())
+        out.setdefault(positions, {})[labels] = c
+    return out
+
+
+def _sort_schedule(positions: tuple) -> tuple[list, tuple]:
+    """The slots of the adjacent swaps that insertion-sort positions, and the
+    sorted tuple.  The entries before the one being inserted are sorted, so
+    each of these swaps is at the first descent: this is the repeated
+    first-descent swap sequence, found in O(n + swaps), not O(n) per swap."""
+    ps, slots = list(positions), []
+    for j in range(1, len(ps)):
+        p, k = ps[j], j
+        while k and ps[k - 1] > p:
+            ps[k] = ps[k - 1]
+            k -= 1
+            slots.append(k)
+        ps[k] = p
+    return slots, tuple(ps)
+
+
+def _exchange(groups: dict, t: np.ndarray, schedule) -> dict:
+    """Reorder {position tuple: {label tuple: amplitude}} into {config: amplitude}.
+
+    schedule(positions) -> (slots, final positions): swap entries k, k+1 for
+    each k in slots, in turn, paying
+    (x, u), (y, v) -> t[i-1, j-1, u-1, v-1] (y, i), (x, j)
+    (t is indexed like RMatrix.entries).  Which slot is swapped depends on
+    the positions alone, never on the labels, so one schedule serves every
+    label tuple of a position tuple, and merging equal label tuples after
+    each swap makes a position tuple cost O(swaps x support) label-tuple
+    updates.  Each t column's nonzero entries are read once per call.
     """
-    while True:
-        out: dict[Config, complex] = {}
-        moved = False
-        for cfg, c in amps.items():
-            k = slot(cfg)
-            if k is None:
-                _accumulate(out, cfg, c)
-                continue
-            moved = True
-            (x, u), (y, v) = cfg[k], cfg[k + 1]
-            col = t[:, :, u - 1, v - 1]
-            for i, j in zip(*np.nonzero(col)):
-                swapped = cfg[:k] + ((y, int(i) + 1), (x, int(j) + 1)) + cfg[k + 2:]
-                _accumulate(out, swapped, c * complex(col[i, j]))
-        if not moved:
-            return out
-        amps = out
+    cols: dict[tuple, list] = {}  # (u, v) -> [(i, j, t[i-1, j-1, u-1, v-1]) nonzero]
+    out: dict[Config, complex] = {}
+    for positions, amps in groups.items():
+        slots, final = schedule(positions)
+        for k in slots:
+            nxt: dict[tuple, complex] = {}
+            for labels, c in amps.items():
+                uv = labels[k:k + 2]
+                col = cols.get(uv)
+                if col is None:
+                    block = t[:, :, uv[0] - 1, uv[1] - 1]
+                    col = cols[uv] = [(int(i) + 1, int(j) + 1, complex(block[i, j]))
+                                      for i, j in zip(*np.nonzero(block))]
+                head, tail = labels[:k], labels[k + 2:]
+                for i, j, f in col:
+                    _accumulate(nxt, head + (i, j) + tail, c * f)
+            amps = nxt
+        for labels, c in amps.items():
+            _accumulate(out, tuple(zip(final, labels)), c)
+    return out
 
 
 def normal_form(raw, r: RMatrix, coeff: complex = 1.0) -> StateVector:
     """Sort a raw (position, label) list into normal form, paying R factors."""
-    amps = {_config(raw, r.m): complex(coeff)}
-    return StateVector(r, _exchange(amps, r.entries, _first_descent))
+    groups = _groups({_config(raw, r.m): complex(coeff)})
+    return StateVector(r, _exchange(groups, r.entries, _sort_schedule))
 
 
 def create(state: StateVector, pos: int, label: int, end: str) -> StateVector:
     """Insert a particle at the front or back of the list, then normal-form."""
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
+    pos, label, front = int(pos), int(label), end == "front"
+    if not 1 <= label <= state.r.m:
+        raise FockError(f"labels must lie in 1..{state.r.m}, got {label}")
     raw = {}
-    for cfg, c in state.amps.items():
-        new = ((pos, label),) + cfg if end == "front" else cfg + ((pos, label),)
-        raw[_config(new, state.r.m)] = c
-    return StateVector(state.r, _exchange(raw, state.r.entries, _first_descent))
+    for positions, amps in _groups(state.amps).items():
+        if pos in positions:
+            raise FockError(_OCCUPIED)
+        new = (pos,) + positions if front else positions + (pos,)
+        raw[new] = {((label,) + ls if front else ls + (label,)): c for ls, c in amps.items()}
+    return StateVector(state.r, _exchange(raw, state.r.entries, _sort_schedule))
 
 
 def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVector:
@@ -143,18 +187,21 @@ def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVecto
     inverse R factors), then remove it with a Kronecker delta on the label."""
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
-    for cfg in state.amps:
-        if all(p != pos for p, _ in cfg):
-            raise FockError(f"no particle at position {pos}")
+    groups = _groups(state.amps)
+    if any(pos not in positions for positions in groups):
+        raise FockError(f"no particle at position {pos}")
     m, front = state.r.m, end == "front"
     minv = np.linalg.inv(as_map(state.r).astype(np.complex128)).reshape(m, m, m, m)
 
-    def slot(cfg):
-        k, last = [p for p, _ in cfg].index(pos), 0 if front else len(cfg) - 1
-        return None if k == last else k - (k > last)
+    def schedule(positions):  # the run of slots that carries pos to the chosen end
+        k = positions.index(pos)
+        rest = positions[:k] + positions[k + 1:]
+        if front:
+            return range(k - 1, -1, -1), (pos,) + rest
+        return range(k, len(rest)), rest + (pos,)
 
     amps: dict[Config, complex] = {}
-    for cfg, c in _exchange(state.amps, minv, slot).items():
+    for cfg, c in _exchange(groups, minv, schedule).items():
         if cfg[0 if front else -1][1] == label:
             _accumulate(amps, cfg[1:] if front else cfg[:-1], c)
     return StateVector(state.r, amps)
@@ -162,12 +209,14 @@ def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVecto
 
 def move(state: StateVector, src: int, dst: int) -> StateVector:
     """Relocate the particle at src to dst, keeping its label; re-normal-form."""
-    raw = {}
-    for cfg, c in state.amps.items():
-        if all(p != src for p, _ in cfg):
+    dst, raw = int(dst), {}
+    for positions, amps in _groups(state.amps).items():
+        if src not in positions:
             raise FockError(f"no particle at position {src}")
-        raw[_config(((dst, l) if p == src else (p, l) for p, l in cfg), state.r.m)] = c
-    return StateVector(state.r, _exchange(raw, state.r.entries, _first_descent))
+        if dst != src and dst in positions:
+            raise FockError(_OCCUPIED)
+        raw[tuple(dst if p == src else p for p in positions)] = amps
+    return StateVector(state.r, _exchange(raw, state.r.entries, _sort_schedule))
 
 
 def measure_corner(state: StateVector, end: str, pos: int | None = None):
@@ -262,7 +311,7 @@ def load_state(data: list, r: RMatrix) -> StateVector:
     amps: dict[Config, complex] = {}
     for term in data:
         cfg = _config(zip(term["positions"], term["labels"]), r.m)
-        if _first_descent(cfg) is not None:
+        if any(p >= q for (p, _), (q, _) in zip(cfg, cfg[1:])):
             raise FockError("state dump not in normal form")
         amps[cfg] = complex(term["re"], term["im"])
     return StateVector(r, amps)

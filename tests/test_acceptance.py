@@ -145,7 +145,7 @@ def test_criterion_6_robustness(report):
                                   trials=10_000, seed=0)
     braid_ok = braided["success_rate"] < 0.9
     ok = eav_ok and inv_ok and braid_ok
-    report(6, "eavesdropping blindness and twist robustness", ok)
+    report(6, "label-blind window occupations and twist robustness", ok)
     assert eav_ok
     assert inv_ok
     assert braid_ok, braided["success_rate"]

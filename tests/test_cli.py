@@ -217,6 +217,9 @@ class TestNoiseSweep:
     ("noise-sweep", "--builtin", "paper3d", "--trials", str(cli.NOISE_TRIALS_MAX + 1)),
     ("derive-r", "--order-bound", str(cli.ORDER_BOUND_MAX + 1)),
     ("noise-sweep", "--builtin", "paper3d", "--noise-d", str(2 ** 63)),
+    ("simulate", "--builtin", "paper3d", "--L", str(cli.CHAIN_L_MAX + 1)),
+    ("noise-sweep", "--builtin", "paper3d", "--L", str(cli.CHAIN_L_MAX + 1)),
+    ("noise-sweep", "--builtin", "paper3d", "--noise-l", str(cli.NOISE_L_MAX + 1)),
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -282,6 +285,17 @@ class TestGaugeCheck:
         code, _, err = run(capsys, "gauge-check", "--patch", "3x3")
         assert code == 2
 
+    def test_oversized_group_fails_before_projector_checks(self, capsys, monkeypatch):
+        # gamma128 on the 2x2 patch would enumerate 128^4 ground-state rows:
+        # the cap refuses it before any projector check runs
+        def never(*args, **kwargs):
+            raise AssertionError("commutator_residuals ran before the ground-state cap")
+
+        monkeypatch.setattr(cli.gauge_sim, "commutator_residuals", never)
+        code, out, err = run(capsys, "gauge-check", "--group", "gamma128")
+        assert code == 1 and out == ""
+        assert "would enumerate 268435456 configurations (cap 1000000)" in err
+
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
@@ -328,9 +342,11 @@ TESTS_DIR = Path(__file__).parent
 SMALL = st.integers(-3, 40).map(str)
 ODD_TEXT = st.sampled_from(("", "x", "1.5", "-", "nan", "inf", "0x1f", "1e3", "--", "٣"))
 HUGE = st.sampled_from([str(n) for n in (10 ** 20, 2 ** 63, cli.TWIST_TRIALS_MAX + 1,
-                                          cli.NOISE_TRIALS_MAX + 1, cli.ORDER_BOUND_MAX + 1)])
+                                          cli.NOISE_TRIALS_MAX + 1, cli.ORDER_BOUND_MAX + 1,
+                                          cli.CHAIN_L_MAX + 1, cli.NOISE_L_MAX + 1)])
 NUMBER = st.one_of(SMALL, ODD_TEXT, HUGE)
 SHORT = st.one_of(SMALL, ODD_TEXT)  # flags whose cost grows with the value
+BOUNDED = st.one_of(SHORT, HUGE)  # costly flags with an upper bound: small or past it
 PROBABILITY = st.sampled_from(("0", "0.5", "1", "-0.1", "1.5", "nan", "x"))
 PATH = st.sampled_from([str(TESTS_DIR / n) for n in
                         ("missing.json", ".", "enumeration_fixtures.json", "conftest.py")])
@@ -342,11 +358,11 @@ GLOBAL_FLAGS = [("--seed", NUMBER), ("--tol", st.sampled_from(("1e-9", "0", "-1"
 SUBCOMMAND_FLAGS = {
     "verify-r": R_SOURCE,
     "derive-r": [("--presentation", PATH), ("--order-bound", NUMBER)],
-    "simulate": R_SOURCE + [("--a", SHORT), ("--b", SHORT), ("--L", SHORT),
+    "simulate": R_SOURCE + [("--a", SHORT), ("--b", SHORT), ("--L", BOUNDED),
                             ("--r0", SHORT), ("--all-pairs", None)],
-    "twist": R_SOURCE + [("--n-max", NUMBER), ("--trials", st.one_of(SHORT, HUGE))],
-    "noise-sweep": R_SOURCE + [("--p", PROBABILITY), ("--trials", st.one_of(SHORT, HUGE)),
-                               ("--L", SHORT), ("--noise-d", NUMBER), ("--noise-l", SHORT)],
+    "twist": R_SOURCE + [("--n-max", NUMBER), ("--trials", BOUNDED)],
+    "noise-sweep": R_SOURCE + [("--p", PROBABILITY), ("--trials", BOUNDED),
+                               ("--L", BOUNDED), ("--noise-d", NUMBER), ("--noise-l", BOUNDED)],
     "gauge-check": [("--group", st.sampled_from(("Z2", "S3", "D4", "A5", "z2", ""))),
                     ("--patch", st.sampled_from(("2x2", "3x3", "")))],
 }

@@ -193,6 +193,80 @@ class TestAgainstReference:
         assert abs(state.norm() - 1.0) < 1e-12
 
 
+class TestMixedPositions:
+    """create, move and annihilate on superpositions over several position
+    tuples, each of which gets its own swap schedule, equal the references
+    applied configuration by configuration.
+
+    The reference costs (branches per exchange) ** swaps per configuration,
+    so each operation makes at most SWAPS[name] exchanges.
+    """
+
+    SWAPS = {"paper3d": 12, "braid-fixture": 6, "gauged-paper3d": 2}
+
+    @staticmethod
+    def mixed(rng, r, n, shared):
+        """Three position tuples of n particles, each holding `shared` and
+        n - 1 other sites in 1..20, with two label tuples each."""
+        amps = {}
+        for _ in range(3):
+            others = rng.choice([p for p in range(1, 21) if p != shared], n - 1, replace=False)
+            positions = sorted([shared] + others.tolist())
+            for _ in range(2):
+                labels = rng.integers(1, r.m + 1, n).tolist()
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                pf._accumulate(amps, tuple(zip(positions, labels)), c)
+        return pf.StateVector(r, amps)
+
+    @pytest.mark.parametrize("name", ("paper3d", "braid-fixture", "gauged-paper3d"))
+    def test_create_move_annihilate(self, name):
+        r, cap = TestAgainstReference.r_matrix(name), self.SWAPS[name]
+        rng = np.random.default_rng(43)
+        for n in range(2, min(cap, 5) + 2):
+            for _ in range(3):
+                shared = int(rng.integers(1, 21))
+                state = self.mixed(rng, r, n, shared)
+                tuples = {tuple(p for p, _ in cfg) for cfg in state.amps}
+                assert len(tuples) > 1
+                free = [p for p in range(1, 22) if all(p not in t for t in tuples)]
+
+                def fits(count):  # positions whose exchange count fits the budget everywhere
+                    return [p for p in free if max(count(p, t) for t in tuples) <= cap]
+
+                for end in ("front", "back"):
+                    passes = fits(lambda p, t: sum(q < p if end == "front" else q > p for q in t))
+                    pos = int(rng.choice(passes))
+                    label = int(rng.integers(1, r.m + 1))
+                    assert max_diff(pf.create(state, pos, label, end).amps,
+                                    reference_create(state, pos, label, end)) <= 1e-12
+                    for label in range(1, r.m + 1):
+                        assert max_diff(pf.annihilate(state, shared, label, end).amps,
+                                        reference_annihilate(state, shared, label, end)) <= 1e-12
+                dst = int(rng.choice(fits(lambda p, t: sum(
+                    min(shared, p) < q < max(shared, p) for q in t))))
+                assert max_diff(pf.move(state, shared, dst).amps,
+                                reference_move(state, shared, dst)) <= 1e-12
+
+
+def first_descent_slots(positions):
+    """The former sorter's swap sequence: swap at the first descent until sorted."""
+    ps, slots = list(positions), []
+    while True:
+        k = next((i for i in range(len(ps) - 1) if ps[i] > ps[i + 1]), None)
+        if k is None:
+            return slots, tuple(ps)
+        ps[k], ps[k + 1] = ps[k + 1], ps[k]
+        slots.append(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positions=st.lists(st.integers(-30, 30), unique=True, max_size=14))
+def test_sort_schedule_is_first_descent_sequence(positions):
+    slots, final = pf._sort_schedule(tuple(positions))
+    assert (slots, final) == first_descent_slots(positions)
+    assert final == tuple(sorted(positions))
+
+
 class TestNormalForm:
     # the paper's R by sign, and braid-fixture: braid relation only, R^2 != 1
     @pytest.mark.parametrize("sign", (+1, -1, "braid-fixture"))
