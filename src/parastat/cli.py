@@ -180,7 +180,9 @@ def cmd_simulate(args) -> int:
     base = game.GameConfig(L=args.L, r=r, a=1, b=1, seed=args.seed, r0=args.r0)
     payload = {"manifest": _manifest(args, inputs)}
     if args.all_pairs:
-        table, _ = game.run_all_pairs(base)
+        table = {}
+        for _, report in game.run_all_pairs(base):
+            table.update(report.success_table)
         wins = sum(table.values())
         payload.update({
             "mode": "all-pairs",
@@ -293,8 +295,9 @@ NOISE_TRIALS_MAX = 300_000
 NOISE_D_MAX = np.iinfo(np.int64).max - 1
 # Largest chain length, simulate --L and noise-sweep --L.  A game moves each
 # particle across the chain and logs every step: about 35 us and 0.8 KiB of
-# transcript per site, and --all-pairs keeps m^2 transcripts, so 64 of them at
-# m = 8: about 0.5 GiB and 20 s at this bound.  noise-sweep only checks L.
+# transcript per site.  --all-pairs plays the m^2 games one at a time and keeps
+# only their wins: simulate --builtin trivial8 --all-pairs peaks at 55 MB RSS
+# and takes 15 s at this bound.  noise-sweep only checks L and records it.
 CHAIN_L_MAX = 10_000
 # Largest noise-sweep --noise-l.  The sweep runs --trials trials at each of
 # the noise_l + 3 distances, in flat memory: about 11 ms per distance at the
@@ -372,14 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1, at_most=NOISE_TRIALS_MAX), default=2000,
                    help=f"per distance, at most {NOISE_TRIALS_MAX}")
     p.add_argument("--L", type=_int_at_least(2, at_most=CHAIN_L_MAX), default=20,
-                   help=f"chain length, at most {CHAIN_L_MAX}")
+                   help=f"chain length, at most {CHAIN_L_MAX}; only checked against "
+                        "6 * r0 (18) and recorded, the sweep does not read it")
     p.add_argument("--noise-d", type=_int_at_least(0, at_most=NOISE_D_MAX), default=1)
     p.add_argument("--noise-l", type=_int_at_least(0, at_most=NOISE_L_MAX), default=2,
                    help=f"at most {NOISE_L_MAX}")
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("gauge-check", help="lattice-gauge validation suite")
-    p.add_argument("--group", default="S3", help="Z2, S3, or D4")
+    p.add_argument("--group", default="S3",
+                   help="Z2, S3, D4, or gamma128 (gamma128 exits 1: its ground "
+                        "state exceeds the configuration cap)")
     p.add_argument("--patch", default="2x2")
     p.set_defaults(func=cmd_gauge_check)
 

@@ -304,15 +304,15 @@ def _sample(dist: dict, rng) -> int:
 
 
 def run_all_pairs(base: GameConfig):
-    """The 16-pair sweep; returns ({(a,b): win}, list of transcripts)."""
-    table, transcripts = {}, []
+    """The m^2-pair sweep: yields (transcript, report) for each (a, b) in turn.
+
+    Games are played one at a time as the caller asks for them, so a caller
+    that keeps only report.success_table holds one transcript at a time.
+    """
     m = base.r.m
     for a in range(1, m + 1):
         for b in range(1, m + 1):
-            tr, rep = run_protocol(replace(base, a=a, b=b))
-            table[(a, b)] = int(rep.success)
-            transcripts.append(tr)
-    return table, transcripts
+            yield run_protocol(replace(base, a=a, b=b))
 
 
 # ---------------------------------------------------------------------------

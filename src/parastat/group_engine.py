@@ -370,6 +370,31 @@ class Irrep:
         return self.matrices[g]
 
 
+def _isotypic_basis(G: FiniteGroup, chi: np.ndarray, d: int) -> np.ndarray:
+    """Orthonormal columns spanning the chi-isotypic block of the left regular rep."""
+    n = G.order
+    proj = (d / n) * np.conj(chi[G.class_of[G.mult[np.arange(n)[:, None], G.inv[None, :]]]])
+    evals, evecs = np.linalg.eigh(proj)
+    basis = evecs[:, evals > 0.5]
+    if basis.shape[1] != d * d:
+        raise GroupError(f"isotypic block has rank {basis.shape[1]}, expected {d * d}")
+    return basis
+
+
+def _commutant_average(G: FiniteGroup, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_g R_g h R_g^dag / |G| for the regular rep restricted to the block.
+
+    R_g = B^dag L_g B with (L_g v)(x) = v(g^-1 x), and keys[x, y] = x^-1 y.
+    The average is B^dag F B / |G| with F[x, y] = f(x^-1 y) and
+    f(z) = sum_u K[u, u z] for K = B h B^dag: one bincount over the keys.
+    """
+    n = G.order
+    keys = G.mult[G.inv]
+    k = (basis @ h @ basis.conj().T).ravel()
+    f = np.bincount(keys.ravel(), k.real, n) + 1j * np.bincount(keys.ravel(), k.imag, n)
+    return basis.conj().T @ f[keys] @ basis / n
+
+
 def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
     n = G.order
     d = int(round(chi[G.class_of[0]].real))
@@ -377,24 +402,12 @@ def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
         mats = chi[G.class_of].astype(np.complex128).reshape(n, 1, 1)
         return Irrep(G, index, 1, mats, chi.copy())
 
-    # isotypic projector of the left regular representation
-    proj = (d / n) * np.conj(chi[G.class_of[G.mult[np.arange(n)[:, None], G.inv[None, :]]]])
-    evals, evecs = np.linalg.eigh(proj)
-    basis = evecs[:, evals > 0.5]
-    if basis.shape[1] != d * d:
-        raise GroupError(f"isotypic block has rank {basis.shape[1]}, expected {d * d}")
-
-    # regular rep restricted to the block: d copies of the irrep
-    restricted = np.empty((n, d * d, d * d), dtype=np.complex128)
-    bh = basis.conj().T
-    for g in range(n):
-        restricted[g] = bh @ basis[G.mult[G.inv[g]], :]
-
+    # the regular rep restricted to the isotypic block holds d copies of the irrep
+    basis = _isotypic_basis(G, chi, d)
     for _ in range(_MAX_RETRIES):
         h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         h = h + h.conj().T
-        t = (restricted @ h @ restricted.conj().transpose(0, 2, 1)).sum(axis=0) / n
-        tvals, tvecs = np.linalg.eigh(t)
+        tvals, tvecs = np.linalg.eigh(_commutant_average(G, basis, h))
         # eigenvalues of the commutant operator cluster in groups of exactly d
         splits = [0] + [
             i for i in range(1, d * d) if tvals[i] - tvals[i - 1] > 1e-6
@@ -403,9 +416,9 @@ def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
         chosen = next(((lo, hi) for lo, hi in blocks if hi - lo == d), None)
         if chosen is None:
             continue
-        cols = tvecs[:, chosen[0]:chosen[1]]
-        mats = cols.conj().T @ restricted @ cols
-        traces = np.array([np.trace(mats[c[0]]) for c in G.classes])
+        span = basis @ tvecs[:, chosen[0]:chosen[1]]  # one copy, as columns C
+        mats = span.conj().T @ span[G.mult[G.inv]]  # C^dag L_g C for every g
+        traces = np.trace(mats[[c[0] for c in G.classes]], axis1=1, axis2=2)
         if np.max(np.abs(traces - chi)) < 1e-8:
             return Irrep(G, index, d, mats, chi.copy())
     raise GroupError("irrep realization failed after bounded retries")
@@ -425,18 +438,30 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
 # fusion
 
 
-def fusion_decompose(G: FiniteGroup, pi1: Irrep, pi2: Irrep) -> list[tuple[int, int]]:
-    """Multiplicities of each irrep in pi1 (x) pi2, as (irrep index, count)."""
+def _fusion_table(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Irrep multiplicities in every product of characters left[i] (x) right[j].
+
+    left and right hold characters as rows; the result has shape
+    (len(left), len(right), number of irreps).
+    """
     tbl = character_table(G)
     sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
-    prod = pi1.character * pi2.character
-    raw = (tbl.conj() * sizes[None, :]) @ prod / G.order
+    prod = left[:, None, :] * right[None, :, :]
+    raw = prod @ (tbl.conj() * sizes[None, :]).T / G.order
     mults = np.round(raw.real).astype(int)
-    if np.max(np.abs(raw - mults)) > 1e-6:
+    if np.max(np.abs(raw - mults), initial=0.0) > 1e-6:
         raise GroupError("non-integral multiplicity")
-    dims = tbl[:, G.class_of[0]].real.round().astype(int)
-    if int(mults @ dims) != pi1.dim * pi2.dim:
+    id_cls = G.class_of[0]
+    dims = tbl[:, id_cls].real.round().astype(int)
+    expected = np.outer(left[:, id_cls].real, right[:, id_cls].real).round()
+    if np.any(mults @ dims != expected):
         raise GroupError("fusion dimensions do not sum")
+    return mults
+
+
+def fusion_decompose(G: FiniteGroup, pi1: Irrep, pi2: Irrep) -> list[tuple[int, int]]:
+    """Multiplicities of each irrep in pi1 (x) pi2, as (irrep index, count)."""
+    mults = _fusion_table(G, pi1.character[None, :], pi2.character[None, :])[0, 0]
     return [(i, int(m)) for i, m in enumerate(mults) if m]
 
 
@@ -453,13 +478,13 @@ def find_para_pair(G: FiniteGroup) -> tuple[Irrep, Irrep]:
     from .rmatrix import is_trivial_product
 
     reps = irreps(G)
-    candidates = []
-    for psi in reps:
-        if psi.dim < 2:
-            continue
-        for sigma in reps:
-            if fusion_decompose(G, sigma, psi) == [(sigma.index, psi.dim)]:
-                candidates.append((psi.dim, sigma.dim, sigma.index, psi.index))
+    tbl = character_table(G)
+    psis = [psi for psi in reps if psi.dim >= 2]
+    mults = _fusion_table(G, tbl, tbl[[psi.index for psi in psis]])  # [sigma, psi, irrep]
+    k = len(reps)
+    own = mults[np.arange(k), :, np.arange(k)]  # multiplicity of sigma in sigma (x) psi
+    hits = (own == [psi.dim for psi in psis]) & (np.count_nonzero(mults, axis=2) == 1)
+    candidates = [(psis[j].dim, reps[s].dim, s, psis[j].index) for s, j in np.argwhere(hits)]
     for _, _, si, pi in sorted(candidates):
         sigma, psi = reps[si], reps[pi]
         derived = derive_r(sigma, psi, solve_intertwiner(sigma, psi))
@@ -533,29 +558,65 @@ def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
     return from_map(mat, m)
 
 
+# Phase tuples gauge_match compares at once: its block arrays then hold at most
+# 2^16 entries (1 MiB as complex128) at any m.
+_GAUGE_BLOCK_ENTRIES = 1 << 16
+
+
 def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     """Monomial gauge Q with (Q x Q) map(r1) (Q x Q)^dag = map(r2), or None.
 
     Search space: permutations of the m internal states times diagonal phases
     from {1, -1, i, -i}, first phase fixed to 1 (a global phase cancels in
-    Q x Q).  Absence of a monomial match does not disprove equivalence under
-    a general unitary gauge.
+    Q x Q): m! * 4^(m-1) candidates, 1536 at m = 4 and about 6.6e8 at
+    rmatrix.MAX_M = 8.  The first match is returned, in the order of
+    permutations in itertools order, then phase tuples in product order.
+    cli.cmd_derive_r calls this only when m equals the built-in paper3d's
+    m = 4, where a full search takes a few ms; at m = 8 a miss costs about
+    1 s per permutation, half a day in all.  Working memory stays
+    bounded at every m: phase tuples are compared in blocks of at most
+    _GAUGE_BLOCK_ENTRIES entries.  Absence of a monomial match does not
+    disprove equivalence under a general unitary gauge.
+
+    A monomial Q e_i = ph_i e_perm(i) only permutes and rephases entries:
+    (Q x Q) M1 (Q x Q)^dag has ph_a ph_b conj(ph_c ph_d) M1[ab, cd] at
+    [perm(a) perm(b), perm(c) perm(d)].  Phases are i^e, so each candidate
+    reads M1 times one of four powers of i; that product, and so the
+    comparison, is exact.
     """
-    from itertools import permutations, product
+    from itertools import permutations
 
     if r1.m != r2.m:
         raise ValueError("gauge_match requires equal m")
     m = r1.m
     m1 = as_map(r1).astype(np.complex128)
-    m2 = as_map(r2).astype(np.complex128)
-    phases = (1.0, -1.0, 1j, -1j)
+    m2 = as_map(r2).astype(np.complex128).reshape(m, m, m, m)
+    turn = np.array([1, 1j, -1, -1j])  # turn[e] = i^e
+    power = np.array([0, 2, 1, 3])  # the phases 1, -1, i, -i in search order, as e
+    turned = turn[:, None, None] * m1
+    cols = np.arange(m * m)
+    n_tuples = 4 ** (m - 1)
+    block = max(1, min(n_tuples, _GAUGE_BLOCK_ENTRIES // m**4))
+    places = 4 ** np.arange(m - 2, -1, -1)  # product order: last phase varies fastest
+
+    def phase_block(start):
+        """Exponents e of phase tuples start.. and the i^(e_a+e_b-e_c-e_d) M1 of each."""
+        digits = np.arange(start, min(start + block, n_tuples))[:, None] // places % 4
+        e = np.zeros((len(digits), m), dtype=np.int64)
+        e[:, 1:] = power[digits]
+        pair = (e[:, :, None] + e[:, None, :]).reshape(-1, m * m)  # e_a + e_b
+        expo = (pair[:, :, None] - pair[:, None, :]) & 3
+        return e, turned[expo, cols[:, None], cols]
+
+    first = phase_block(0)  # every permutation starts here; at m <= 4 it is all
     for perm in permutations(range(m)):
-        base = np.zeros((m, m), dtype=np.complex128)
-        for i, j in enumerate(perm):
-            base[j, i] = 1.0
-        for ph in product(phases, repeat=m - 1):
-            q = base * np.array((1.0,) + ph)[None, :]
-            qq = np.kron(q, q)
-            if np.max(np.abs(qq @ m1 @ qq.conj().T - m2)) <= tol:
+        target = m2[np.ix_(perm, perm, perm, perm)].reshape(m * m, m * m)
+        for start in range(0, n_tuples, block):
+            e, cand = first if start == 0 else phase_block(start)
+            gap = np.abs(cand - target).reshape(len(e), -1).max(axis=1)
+            hit = np.flatnonzero(gap <= tol)
+            if hit.size:
+                q = np.zeros((m, m), dtype=np.complex128)
+                q[list(perm), np.arange(m)] = turn[e[hit[0]]]
                 return q
     return None

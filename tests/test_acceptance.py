@@ -42,8 +42,9 @@ def test_criterion_1_rmatrix_validity(report):
 
 def test_criterion_2_winning_strategy(report):
     cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, seed=0)
-    table, transcripts = gm.run_all_pairs(cfg)
-    wins = sum(table.values())
+    games = list(gm.run_all_pairs(cfg))
+    transcripts = [t for t, _ in games]
+    wins = sum(rep.success for _, rep in games)
     referee_ok = all(
         e["passed"]
         for t in transcripts for e in t.events if e["event"] == "referee-check"

@@ -163,9 +163,10 @@ class TestProtocol:
         assert tr.events[-1]["vacuum"] is True
 
     def test_all_pairs_win(self, base_cfg):
-        table, transcripts = gm.run_all_pairs(base_cfg)
+        games = list(gm.run_all_pairs(base_cfg))
+        table = {k: v for _, rep in games for k, v in rep.success_table.items()}
         assert len(table) == 16 and all(table.values())
-        assert all(t.verdict == "win" for t in transcripts)
+        assert all(t.verdict == "win" for t, _ in games)
 
     def test_deterministic_transcripts(self, base_cfg):
         t1, r1 = gm.run_protocol(base_cfg)

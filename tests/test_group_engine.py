@@ -1,6 +1,8 @@
 import hashlib
 import json
 import time
+import tracemalloc
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,45 @@ class TestIrreps:
         assert np.allclose(vals, [-1.0, 1.0])
 
 
+def reference_commutant_average(G, basis, h):
+    """The group average over the stacked restricted regular rep R_g, one
+    (d^2, d^2) block per element."""
+    n = G.order
+    bh = basis.conj().T
+    restricted = np.stack([bh @ basis[G.mult[G.inv[g]], :] for g in range(n)])
+    return (restricted @ h @ restricted.conj().transpose(0, 2, 1)).sum(axis=0) / n
+
+
+class TestCommutantAverage:
+    def test_matches_stacked_average(self, small_groups, gamma):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for G in (small_groups["S3"], small_groups["D4"], gamma):
+            for chi in ge.character_table(G):
+                d = int(round(chi[G.class_of[0]].real))
+                if d < 2:
+                    continue
+                basis = ge._isotypic_basis(G, chi, d)
+                h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+                h = h + h.conj().T
+                ref = reference_commutant_average(G, basis, h)
+                assert np.max(np.abs(ge._commutant_average(G, basis, h) - ref)) < 1e-12
+                checked += 1
+        assert checked == 1 + 1 + 9  # S3 and D4 have one irrep with d >= 2, gamma128 nine
+
+    def test_gamma_irreps_peak_memory(self):
+        G = ge.enumerate_group(ge.gamma_presentation())
+        ge.character_table(G)
+        tracemalloc.start()
+        try:
+            reps = ge.irreps(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(rep.dim for rep in reps) == 8
+        assert peak < 8 * 2**20
+
+
 class TestFusion:
     def test_tensor_with_trivial(self, gamma):
         reps = ge.irreps(gamma)
@@ -279,6 +320,74 @@ class TestGaugeMatch:
 
     def test_inequivalent_pair(self):
         assert ge.gauge_match(rm.paper_r(+1), rm.trivial_r(4, +1)) is None
+
+
+def reference_gauge_match(r1, r2, tol=1e-8):
+    """One Kronecker product and two matmuls per monomial candidate."""
+    m = r1.m
+    m1 = rm.as_map(r1).astype(np.complex128)
+    m2 = rm.as_map(r2).astype(np.complex128)
+    phases = (1.0, -1.0, 1j, -1j)
+    for perm in permutations(range(m)):
+        base = np.zeros((m, m), dtype=np.complex128)
+        for i, j in enumerate(perm):
+            base[j, i] = 1.0
+        for ph in product(phases, repeat=m - 1):
+            q = base * np.array((1.0,) + ph)[None, :]
+            qq = np.kron(q, q)
+            if np.max(np.abs(qq @ m1 @ qq.conj().T - m2)) <= tol:
+                return q
+    return None
+
+
+def _gauged(r, q):
+    qq = np.kron(q, q)
+    return rm.from_map(qq @ rm.as_map(r).astype(np.complex128) @ qq.conj().T, r.m)
+
+
+def _monomial(m, rng):
+    q = np.zeros((m, m), dtype=np.complex128)
+    q[rng.permutation(m), np.arange(m)] = np.array([1, -1, 1j, -1j])[rng.integers(4, size=m)]
+    return q
+
+
+def _haar(m, rng):
+    q, upper = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diagonal(upper) / np.abs(np.diagonal(upper)))
+
+
+class TestGaugeMatchAgainstReference:
+    @pytest.mark.parametrize("name", ("paper3d", "braid-fixture", "trivial4"))
+    def test_same_result_as_loop(self, name):
+        rng = np.random.default_rng(23)
+        r = rm.builtin_r(name)
+        others = [r, rm.trivial_r(r.m, -1)]
+        others += [_gauged(r, _monomial(r.m, rng)) for _ in range(4)]
+        others += [_gauged(r, _haar(r.m, rng)) for _ in range(2)]
+        found = 0
+        for other in others:
+            q = ge.gauge_match(r, other)
+            ref = reference_gauge_match(r, other)
+            if ref is None:
+                assert q is None
+            else:
+                assert q is not None and np.array_equal(q, ref)
+                found += 1
+        assert found >= 5  # r itself and its four monomial gauges
+
+    def test_trivial8_identity_fast_and_small(self):
+        r = rm.trivial_r(8, +1)
+        start = time.perf_counter()
+        q = ge.gauge_match(r, r)
+        assert time.perf_counter() - start < 0.1
+        assert np.array_equal(q, np.eye(8))
+        tracemalloc.start()
+        try:
+            ge.gauge_match(r, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSupplementaryRelation:
