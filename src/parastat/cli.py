@@ -232,10 +232,8 @@ def cmd_noise_sweep(args) -> int:
 def cmd_gauge_check(args) -> int:
     if args.group not in group_engine.NAMED_PRESENTATIONS:
         raise CliError(f"unknown group {args.group!r}")
-    if args.patch != "2x2":
-        raise CliError("only the 2x2 patch is shipped")
     G = group_engine.enumerate_group(group_engine.NAMED_PRESENTATIONS[args.group]())
-    lat = gauge_sim.patch_2x2()
+    lat, wilson, homotopic, endpoints = gauge_sim.PATCHES[args.patch]
     # the ground state refuses oversized groups at once; the projector checks
     # would first spend seconds on them.  Neither call draws the other's numbers.
     g0 = gauge_sim.ground_state(G, lat)
@@ -245,16 +243,16 @@ def cmd_gauge_check(args) -> int:
     reps = group_engine.irreps(G)
     # most structured nontrivial irrep: largest dimension, then least trivial
     psi = max(reps, key=lambda rep: (rep.dim, float(np.sum(np.abs(rep.character - 1)))))
-    line = gauge_sim.WilsonLine(psi, ((0, +1), (3, +1)))  # v0 -> v1 -> v3
+    line = gauge_sim.WilsonLine(psi, wilson)
     excited = gauge_sim.apply_wilson_line(g0, line, 0, 0)
     vexc = gauge_sim.vertex_expectations(excited)
     deform = gauge_sim.verify_deformation(
-        g0, line, gauge_sim.WilsonLine(psi, ((2, +1), (1, +1))), 0, 0
+        g0, line, gauge_sim.WilsonLine(psi, homotopic), 0, 0
     )
     ground_ok = (max(abs(x - 1.0) for x in va + pa) <= 1e-10)
-    endpoints_ok = (
-        vexc[0] < 1 - 1e-6 and vexc[3] < 1 - 1e-6
-        and abs(vexc[1] - 1.0) <= 1e-10 and abs(vexc[2] - 1.0) <= 1e-10
+    endpoints_ok = all(
+        x < 1 - 1e-6 if v in endpoints else abs(x - 1.0) <= 1e-10
+        for v, x in enumerate(vexc)
     )
     ok = (
         residuals["idempotence"] <= 1e-10
@@ -386,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="S3",
                    help="Z2, S3, D4, or gamma128 (gamma128 exits 1: its ground "
                         "state exceeds the configuration cap)")
-    p.add_argument("--patch", default="2x2")
+    p.add_argument("--patch", choices=tuple(gauge_sim.PATCHES), default="2x2",
+                   help="2x2 (one plaquette) or ladder (two plaquettes; D4 exits 1: "
+                        "its ground state exceeds the configuration cap)")
     p.set_defaults(func=cmd_gauge_check)
 
     return ap

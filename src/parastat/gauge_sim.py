@@ -89,6 +89,14 @@ def ladder_2x3() -> GaugeLattice:
     return GaugeLattice(6, edges, plaq)
 
 
+# name -> (lattice, Wilson path, homotopic path, (start, end) vertices of both)
+PATCHES = {
+    "2x2": (patch_2x2(), ((0, +1), (3, +1)), ((2, +1), (1, +1)), (0, 3)),  # v0 -> v1 -> v3
+    # bottom v0 -> v1 -> v2 against the route over the top v0 -> v3 -> v4 -> v5 -> v2
+    "ladder": (ladder_2x3(), ((0, +1), (1, +1)), ((4, +1), (2, +1), (3, +1), (6, -1)), (0, 2)),
+}
+
+
 def _place_values(G: FiniteGroup, lat: GaugeLattice) -> np.ndarray:
     """|G|^(E-1-e) for each edge e; every code must fit int64."""
     E = lat.n_edges
@@ -131,18 +139,33 @@ class GaugeState:
         return out
 
     def _pruned(self, codes: np.ndarray, coeffs: np.ndarray) -> "GaugeState":
-        """Drop amplitudes at or below PRUNE and enforce the support cap."""
+        """Drop amplitudes at or below PRUNE and enforce the support cap.
+
+        The cap holds per sample: a batch (see commutator_residuals) keeps
+        sample k in the k-th block of |G|^E codes.
+        """
         keep = np.abs(coeffs) > PRUNE
-        if np.count_nonzero(keep) > self.support_cap:
-            raise GaugeError(f"support cap exceeded: {np.count_nonzero(keep)} configurations")
-        return self._like(codes[keep], coeffs[keep])
+        codes, coeffs = codes[keep], coeffs[keep]
+        if len(codes) > self.support_cap:
+            largest = int(np.bincount(self._sample(codes)).max())
+            if largest > self.support_cap:
+                raise GaugeError(f"support cap exceeded: {largest} configurations")
+        return self._like(codes, coeffs)
+
+    def _sample(self, codes: np.ndarray) -> np.ndarray:
+        """The sample of each code in a batch: code // |G|^E."""
+        if not self.lattice.n_edges:  # one configuration, code 0, per sample
+            return codes
+        return codes // self._place[0] // self.group.order
 
     def _union(self, other: "GaugeState") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted union of both supports and each state's amplitudes on it."""
-        keys, idx = np.unique(np.concatenate((self.codes, other.codes)), return_inverse=True)
+        keys = np.concatenate((self.codes, other.codes))
+        keys.sort(kind="stable")  # two sorted runs: one merge
+        keys = keys[_firsts(keys)]
         mine, theirs = np.zeros((2, len(keys)), dtype=np.complex128)
-        mine[idx[:len(self.codes)]] = self.coeffs
-        theirs[idx[len(self.codes):]] = other.coeffs
+        mine[np.searchsorted(keys, self.codes)] = self.coeffs
+        theirs[np.searchsorted(keys, other.codes)] = other.coeffs
         return keys, mine, theirs
 
     def _digits(self) -> "_Digits":
@@ -210,13 +233,19 @@ class _Amplitudes(Mapping):
         return complex(s.coeffs[i])
 
 
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array starts."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _accumulate(codes: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique codes and the summed amplitudes of each."""
-    keys, idx = np.unique(codes, return_inverse=True)
-    sums = np.empty(len(keys), dtype=np.complex128)
-    sums.real = np.bincount(idx, coeffs.real, len(keys))
-    sums.imag = np.bincount(idx, coeffs.imag, len(keys))
-    return keys, sums
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = _firsts(codes)
+    return codes[starts], np.add.reduceat(coeffs[order], starts)
 
 
 def _holonomy(G: FiniteGroup, config, plaq):
@@ -255,24 +284,30 @@ def gauge_shift(G: FiniteGroup, lat: GaugeLattice, config: tuple, v: int, g: int
     return tuple(out)
 
 
-def _gauge_sum(state: GaugeState, v: int, weights: np.ndarray) -> GaugeState:
-    """sum_g weights[g] L_v^g |state>, over the g with a nonzero weight.
+def _shifted_codes(state: GaugeState, v: int, g: np.ndarray) -> np.ndarray:
+    """codes[i, j]: the code of L_v^(g[i]) applied to configuration j.
 
-    Row i of the code array is L_v^(g_i) applied to every configuration;
-    only the digits of edges at v change.
+    Only the digits of edges at v change.  Each such edge gets a table of
+    code changes per (g, old element); on a self-loop at v the tail and head
+    rules compose to conjugation.
     """
-    G = state.group
-    g = np.flatnonzero(weights)[:, None]
+    G, h = state.group, np.arange(state.group.order)
     codes = np.repeat(state.codes[None, :], len(g), axis=0)
     digits = state._digits()
     for e, (tail, head) in enumerate(state.lattice.edges):
         if v not in (tail, head):
             continue
-        old = digits[e]
-        new = G.mult[old, G.inv[g]] if tail == v else old
-        new = G.mult[g, new] if head == v else new
-        codes += (new - old) * state._place[e]
-    return state._pruned(*_accumulate(codes.ravel(), (weights[g] * state.coeffs).ravel()))
+        new = G.mult[h, G.inv[g][:, None]] if tail == v else h
+        new = G.mult[g[:, None], new] if head == v else new
+        codes += np.take((new - h) * state._place[e], digits[e], axis=1)
+    return codes
+
+
+def _gauge_sum(state: GaugeState, v: int, weights: np.ndarray) -> GaugeState:
+    """sum_g weights[g] L_v^g |state>, over the g with a nonzero weight."""
+    g = np.flatnonzero(weights)
+    codes = _shifted_codes(state, v, g)
+    return state._pruned(*_accumulate(codes.ravel(), (weights[g, None] * state.coeffs).ravel()))
 
 
 def vertex_projector(state: GaugeState, v: int) -> GaugeState:
@@ -370,21 +405,44 @@ def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int,
     return lam
 
 
+def _mass(coeffs: np.ndarray) -> float:
+    """sum |c|^2, summed pairwise."""
+    return float(np.sum(coeffs.real ** 2 + coeffs.imag ** 2))
+
+
+def _norm2(state: GaugeState) -> float:
+    nrm2 = _mass(state.coeffs)
+    if nrm2 == 0:
+        raise GaugeError("zero state")
+    return nrm2
+
+
 def vertex_expectations(state: GaugeState) -> list[float]:
-    """<A_v> per vertex (1 on unexcited vertices, < 1 at string endpoints)."""
+    """<A_v> per vertex (1 on unexcited vertices, < 1 at string endpoints).
+
+    L_v^g maps a configuration c onto each member of its orbit O |Stab_c|
+    times, so <psi|A_v|psi> = sum_O |S_O|^2 |Stab_O| / |G| with S_O the sum
+    of psi over O.  Orbits are keyed by their smallest code; no projected
+    state is built.
+    """
+    nrm2 = _norm2(state)
+    n, codes, coeffs = state.group.order, state.codes, state.coeffs
     out = []
-    nrm2 = state.dot(state).real
     for v in range(state.lattice.n_vertices):
-        out.append(float(state.dot(vertex_projector(state, v)).real / nrm2))
+        shifted = _shifted_codes(state, v, np.arange(n))
+        keys, orbit = np.unique(shifted.min(axis=0), return_inverse=True)
+        stab = np.zeros(len(keys))
+        stab[orbit] = np.count_nonzero(shifted == codes, axis=0)
+        sums = np.bincount(orbit, coeffs.real) ** 2 + np.bincount(orbit, coeffs.imag) ** 2
+        out.append(float(np.sum(sums * stab) / n / nrm2))
     return out
 
 
 def plaquette_expectations(state: GaugeState) -> list[float]:
-    out = []
-    nrm2 = state.dot(state).real
-    for p in range(len(state.lattice.plaquettes)):
-        out.append(float(state.dot(plaquette_projector(state, p)).real / nrm2))
-    return out
+    """<B_p> per plaquette: the weight of the flat configurations."""
+    nrm2 = _norm2(state)
+    return [_mass(state.coeffs[_path_product(state, plaq) == 0]) / nrm2
+            for plaq in state.lattice.plaquettes]
 
 
 def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
@@ -394,37 +452,43 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
     Checks idempotence of every vertex/plaquette projector and commutation
     of every (vertex, vertex), (vertex, plaquette) pair by applying both
     orderings to random sparse states (operator matrices for |G|^E
-    dimensions are never materialized).
+    dimensions are never materialized).  All samples travel in one batch
+    state, sample k's codes offset by k |G|^E, so each projector runs once;
+    the support cap and every residual are per sample.
     """
+    if samples < 1:
+        raise GaugeError(f"samples must be at least 1, got {samples}")
+    block = G.order ** lat.n_edges
+    if samples * block - 1 > np.iinfo(np.int64).max:
+        raise GaugeError(f"{samples} samples of {G.order}^{lat.n_edges} configurations "
+                         "do not fit int64 codes")
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(samples):
+    codes, coeffs = [], []
+    for k in range(samples):
         amps = {}
         for _ in range(40):
-            config = tuple(int(x) for x in rng.integers(0, G.order, lat.n_edges))
+            config = tuple(rng.integers(0, G.order, lat.n_edges).tolist())
             amps[config] = complex(rng.standard_normal(), rng.standard_normal())
-        states.append(GaugeState(G, lat, amps).normalized())
+        s = GaugeState(G, lat, amps).normalized()
+        codes.append(s.codes + k * block)
+        coeffs.append(s.coeffs)
+    batch = s._like(np.concatenate(codes), np.concatenate(coeffs))
 
-    def vp(s, v):
-        return vertex_projector(s, v)
+    def worst(a: GaugeState, b: GaugeState) -> float:
+        """The largest per-sample distance between a and b."""
+        keys, mine, theirs = a._union(b)
+        diff = mine - theirs
+        sq = np.bincount(batch._sample(keys), diff.real ** 2 + diff.imag ** 2)
+        return float(np.sqrt(sq.max(initial=0.0)))
 
-    def pp(s, p):
-        return plaquette_projector(s, p)
-
-    ops = [("A", v, vp) for v in range(lat.n_vertices)]
-    ops += [("B", p, pp) for p in range(len(lat.plaquettes))]
-    idem = 0.0
-    comm = 0.0
-    for s in states:
-        applied = {(kind, i): op(s, i) for kind, i, op in ops}
-        for kind, i, op in ops:
-            once = applied[(kind, i)]
-            idem = max(idem, op(once, i).distance(once))
-        for x in range(len(ops)):
-            for y in range(x + 1, len(ops)):
-                k1, i1, op1 = ops[x]
-                k2, i2, op2 = ops[y]
-                xy = op1(applied[(k2, i2)], i1)
-                yx = op2(applied[(k1, i1)], i2)
-                comm = max(comm, xy.distance(yx))
+    ops = [(v, vertex_projector) for v in range(lat.n_vertices)]
+    ops += [(p, plaquette_projector) for p in range(len(lat.plaquettes))]
+    applied = [op(batch, i) for i, op in ops]
+    idem = comm = 0.0
+    for (i, op), once in zip(ops, applied):
+        idem = max(idem, worst(op(once, i), once))
+    for x in range(len(ops)):
+        for y in range(x + 1, len(ops)):
+            (i1, op1), (i2, op2) = ops[x], ops[y]
+            comm = max(comm, worst(op1(applied[y], i1), op2(applied[x], i2)))
     return {"idempotence": idem, "commutation": comm}

@@ -280,12 +280,15 @@ def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> Finit
         mult[:, y] = act[step[y], mult[:, parent[y]]]
     inv = np.argmin(mult, axis=1)  # position of the identity (index 0) in each row
 
+    # Classes from a boolean mask, not np.unique: plain np.unique imports numpy.ma.
     class_of = np.full(n, -1, dtype=np.int64)
     classes = []
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        orbit = np.unique(mult[mult[:, x], inv])
+        member = np.zeros(n, dtype=bool)
+        member[mult[mult[:, x], inv]] = True
+        orbit = np.flatnonzero(member)
         class_of[orbit] = len(classes)
         classes.append(orbit)
 

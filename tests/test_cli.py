@@ -285,6 +285,22 @@ class TestGaugeCheck:
         code, _, err = run(capsys, "gauge-check", "--patch", "3x3")
         assert code == 2
 
+    def test_ladder_passes(self, capsys):
+        code, payload, _ = run_json(capsys, "gauge-check", "--patch", "ladder")
+        assert code == 0 and payload["passed"] is True
+        assert payload["manifest"]["config"]["patch"] == "ladder"
+        assert len(payload["ground_state_expectations"]["plaquettes"]) == 2
+        vexc = payload["wilson_endpoint_expectations"]
+        # the line runs v0 -> v1 -> v2: only its endpoints are excited
+        assert vexc[0] < 1 - 1e-6 and vexc[2] < 1 - 1e-6
+        assert all(abs(vexc[v] - 1) <= 1e-10 for v in (1, 3, 4, 5))
+
+    def test_ladder_cap(self, capsys):
+        # D4 on the ladder would enumerate 8^7 > 10^6 ground-state rows
+        code, out, err = run(capsys, "gauge-check", "--group", "D4", "--patch", "ladder")
+        assert code == 1 and out == ""
+        assert "would enumerate 2097152 configurations (cap 1000000)" in err
+
     def test_oversized_group_fails_before_projector_checks(self, capsys, monkeypatch):
         # gamma128 on the 2x2 patch would enumerate 128^4 ground-state rows:
         # the cap refuses it before any projector check runs
@@ -311,6 +327,27 @@ def test_cli_import_leaves_sympy_out():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_gauge_path_leaves_numpy_ma_out():
+    # plain np.unique imports numpy.ma; the gauge path and the group tables avoid it
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    probes = (
+        "import contextlib, io, sys, parastat.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['gauge-check', '--group', 'D4'])\n"
+        "print(code, 'numpy.ma' in sys.modules)",
+        "import sys, parastat.group_engine as ge\n"
+        "ge.enumerate_group(ge.gamma_presentation())\n"
+        "print(0, 'numpy.ma' in sys.modules)",
+    )
+    for probe in probes:
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 False"
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -364,7 +401,7 @@ SUBCOMMAND_FLAGS = {
     "noise-sweep": R_SOURCE + [("--p", PROBABILITY), ("--trials", BOUNDED),
                                ("--L", BOUNDED), ("--noise-d", NUMBER), ("--noise-l", BOUNDED)],
     "gauge-check": [("--group", st.sampled_from(("Z2", "S3", "D4", "A5", "z2", ""))),
-                    ("--patch", st.sampled_from(("2x2", "3x3", "")))],
+                    ("--patch", st.sampled_from(("2x2", "ladder", "3x3", "")))],
 }
 
 

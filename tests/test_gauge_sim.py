@@ -423,3 +423,136 @@ def outcome(fn, *args):
         return complex(fn(*args))
     except gs.GaugeError as exc:
         return exc
+
+
+# ---------------------------------------------------------------------------
+# reference: per-sample projector checks and projector-based expectations
+
+
+def ref_commutator_residuals(G, lat, seed=0, samples=5):
+    """One state per sample, each projector applied to each state alone."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(samples):
+        amps = {}
+        for _ in range(40):
+            config = tuple(int(x) for x in rng.integers(0, G.order, lat.n_edges))
+            amps[config] = complex(rng.standard_normal(), rng.standard_normal())
+        states.append(gs.GaugeState(G, lat, amps).normalized())
+    ops = [(v, gs.vertex_projector) for v in range(lat.n_vertices)]
+    ops += [(p, gs.plaquette_projector) for p in range(len(lat.plaquettes))]
+    idem = comm = 0.0
+    for s in states:
+        applied = [op(s, i) for i, op in ops]
+        for (i, op), once in zip(ops, applied):
+            idem = max(idem, op(once, i).distance(once))
+        for x in range(len(ops)):
+            for y in range(x + 1, len(ops)):
+                (i1, op1), (i2, op2) = ops[x], ops[y]
+                comm = max(comm, op1(applied[y], i1).distance(op2(applied[x], i2)))
+    return {"idempotence": idem, "commutation": comm}
+
+
+def ref_vertex_expectations(state):
+    nrm2 = state.dot(state).real
+    return [state.dot(gs.vertex_projector(state, v)).real / nrm2
+            for v in range(state.lattice.n_vertices)]
+
+
+def looped():
+    """Self-loops, on which L_v^g conjugates: e1 at v1 beside the digon e0, e3
+    (flat: e1 trivial), and e2 alone at v2 (any element), so the action of
+    L_2^g is not free.
+
+        0 --e0--> 1 (e1: 1 -> 1)    2 (e2: 2 -> 2)
+        0 --e3--> 1
+    """
+    return gs.GaugeLattice(3, ((0, 1), (1, 1), (2, 2), (0, 1)),
+                           (((1, +1),), ((0, +1), (3, -1))))
+
+
+BATCH_CASES = CASES + [("S3", "looped"), ("D4", "looped")]
+LATTICES = {"patch": gs.patch_2x2, "ladder": gs.ladder_2x3, "looped": looped}
+
+
+@pytest.mark.parametrize("name, shape", BATCH_CASES)
+class TestBatchedAgainstReference:
+    """One batch for all samples and orbit-sum expectations equal the
+    per-sample and projector-based references."""
+
+    def test_residuals(self, small_groups, name, shape):
+        G, lat = small_groups[name], LATTICES[shape]()
+        for seed, samples in ((0, 5), (1, 3), (2, 1)):
+            got = gs.commutator_residuals(G, lat, seed=seed, samples=samples)
+            want = ref_commutator_residuals(G, lat, seed=seed, samples=samples)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-15
+                assert got[key] <= 1e-10
+
+    def test_vertex_expectations(self, small_groups, name, shape):
+        G, lat = small_groups[name], LATTICES[shape]()
+        g0 = gs.ground_state(G, lat)
+        psi = nontrivial_irrep(G)
+        path = PATHS[shape][0] if shape in PATHS else ((0, +1),)
+        states = [g0, gs.apply_wilson_line(g0, gs.WilsonLine(psi, path), 0, psi.dim - 1)]
+        states += [gs.GaugeState(G, lat, random_amps(G, lat, seed)) for seed in (40, 41)]
+        for state in states:
+            got, want = gs.vertex_expectations(state), ref_vertex_expectations(state)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        assert np.allclose(gs.vertex_expectations(g0), 1.0, atol=1e-12)
+
+
+class TestBatchEdges:
+    def test_self_loop_action_is_conjugation(self, small_groups):
+        # L_2^g maps e2 = h to g h g^-1 and fixes it when g commutes with h
+        G = small_groups["S3"]
+        lat = looped()
+        for g in range(G.order):
+            for h in range(G.order):
+                shifted = gs.gauge_shift(G, lat, (0, 0, h, 0), 2, g)
+                assert shifted == (0, 0, G.mult[G.mult[g, h], G.inv[g]], 0)
+
+    def test_no_samples_rejected(self, small_groups, patch):
+        for samples in (0, -1):
+            with pytest.raises(gs.GaugeError, match="samples"):
+                gs.commutator_residuals(small_groups["Z2"], patch, samples=samples)
+
+    def test_batch_codes_overflowing_int64_rejected(self, small_groups):
+        # 8^21 codes fill int64 exactly: one sample fits, two do not
+        G = small_groups["D4"]
+        chain = gs.GaugeLattice(22, tuple((i, i + 1) for i in range(21)), ())
+        with pytest.raises(gs.GaugeError, match="int64"):
+            gs.commutator_residuals(G, chain, samples=2)
+        res = gs.commutator_residuals(G, chain, samples=1)
+        assert max(res.values()) <= 1e-10
+
+    def test_residuals_are_per_sample(self, small_groups, patch, monkeypatch):
+        # an operator that doubles every state leaves |4s - 2s| = 2 on each
+        # normalized sample; one distance over the whole batch would read 2 sqrt(5)
+        monkeypatch.setattr(gs, "vertex_projector", lambda s, v: s._like(s.codes, 2 * s.coeffs))
+        res = gs.commutator_residuals(small_groups["S3"], patch, samples=5)
+        assert res["idempotence"] == pytest.approx(2.0, abs=1e-12)
+        assert res["commutation"] <= 1e-12
+
+    def test_support_cap_is_per_sample(self, small_groups, patch):
+        # each sample's projected support is 6 configurations, 12 in the batch
+        G = small_groups["S3"]
+        block = G.order ** patch.n_edges
+
+        def batch(cap):
+            one = gs.GaugeState(G, patch, {(0, 0, 0, 0): 1.0}, support_cap=cap)
+            two = gs.GaugeState(G, patch, {(1, 2, 3, 4): 1.0}, support_cap=cap)
+            return one._like(np.concatenate((one.codes, two.codes + block)),
+                             np.concatenate((one.coeffs, two.coeffs)))
+
+        assert len(gs.vertex_projector(batch(6), 0).codes) == 12
+        with pytest.raises(gs.GaugeError, match="support cap exceeded: 6"):
+            gs.vertex_projector(batch(5), 0)
+
+    @pytest.mark.parametrize("fn", (gs.vertex_expectations, gs.plaquette_expectations))
+    def test_zero_state_rejected(self, small_groups, patch, fn):
+        G = small_groups["S3"]
+        for amps in ({}, {(0, 0, 0, 0): 0.0}):
+            with pytest.raises(gs.GaugeError, match="zero state"):
+                fn(gs.GaugeState(G, patch, amps))
