@@ -25,6 +25,12 @@ from . import parafock as pf
 from .rmatrix import RMatrix, as_map
 
 
+# The referee checks both windows after every CHECK_CADENCE-th move.
+CHECK_CADENCE = 2
+# Steps noise_experiment holds the particles exposed at each distance.
+NOISE_EXPOSURE = 8
+
+
 class GameError(ValueError):
     pass
 
@@ -37,7 +43,6 @@ class GameConfig:
     b: int
     seed: int = 0
     r0: int = 3
-    check_cadence: int = 2
     noise_p: float = 0.0
     noise_d: int = 1
     noise_l: int = 2
@@ -236,7 +241,7 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
         state = pf.move(state, src, dst)
         moves += 1
         tr.log("move", src=src, dst=dst)
-        if moves % cfg.check_cadence == 0:
+        if moves % CHECK_CADENCE == 0:
             referee_check()
 
     injected = False
@@ -351,18 +356,12 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     ns, probs = _twist_support(twist_dist)
 
     # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot)
-    powers = {}
-    acc = mat.copy()
-    for n in range(max(ns) + 1):
-        powers[n] = acc
-        acc = acc @ mat @ mat
-    states = np.empty((m, m, len(ns), m, m), dtype=np.complex128)
-    for a in range(m):
-        for b in range(m):
-            vec = np.zeros(m * m, dtype=np.complex128)
-            vec[a * m + b] = 1.0
-            for k, n in enumerate(ns):
-                states[a, b, k] = (powers[n] @ vec).reshape(m, m)
+    powers = [mat]
+    for _ in range(max(ns)):
+        powers.append(powers[-1] @ mat @ mat)
+    # column a*m + b of M^(2n+1) is its image of |a> x |b>
+    states = np.stack([powers[n] for n in ns]).reshape(len(ns), m, m, m, m)
+    states = states.transpose(3, 4, 0, 1, 2)
 
     # Bob's outcome likelihoods: p(k | a, b, n) marginalizing Alice's slot
     like = np.abs(states) ** 2  # [a, b, n, bob outcome, alice slot]
@@ -404,30 +403,28 @@ def _twist_support(twist_dist):
 # noise
 
 
-def noise_experiment(cfg: GameConfig, trials: int, seed: int,
-                     distances=None, exposure: int = 8) -> list:
+def noise_experiment(cfg: GameConfig, trials: int, seed: int) -> list:
     """Decode success vs the particle-corner distance held during exposure.
 
-    Each trial parks the particles at a given distance from their corners
-    for `exposure` steps with the noise channel active, then completes the
-    protocol noise-free.  A noise event picks a site within noise_d of a
-    particle; it corrupts the internal label only when it lands on the
-    particle's own site while that particle sits within noise_l of a corner
-    (elsewhere the label is topologically shielded from local operations).
+    Distances run 0..noise_l + 2.  Each trial parks the particles at a
+    distance from their corners for NOISE_EXPOSURE steps with the noise
+    channel active, then completes the protocol noise-free.  A noise event
+    picks a site within noise_d of a particle; it corrupts the internal label
+    only when it lands on the particle's own site while that particle sits
+    within noise_l of a corner (elsewhere the label is topologically shielded
+    from local operations).
     """
     r = cfg.r
     m = r.m
     mat = as_map(r).astype(np.complex128)
     alice, bob = _decode_tables(r)
-    if distances is None:
-        distances = list(range(0, cfg.noise_l + 3))
     results = []
-    for dist_idx, dist in enumerate(distances):
-        rng = _rng(seed, 3, dist_idx)
+    for dist in range(cfg.noise_l + 3):
+        rng = _rng(seed, 3, dist)
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
-        hit = rng.random((exposure, 2, trials)) < cfg.noise_p
-        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1, size=(exposure, 2, trials))
+        hit = rng.random((NOISE_EXPOSURE, 2, trials)) < cfg.noise_p
+        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1, size=(NOISE_EXPOSURE, 2, trials))
         # only an event on the particle's own site while exposed applies a unitary
         applied = hit & (offset == 0) & (dist <= cfg.noise_l)
         # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's

@@ -1,14 +1,13 @@
 """Finite groups from presentations, and the exchange statistics they induce.
 
 Pipeline: a finite presentation is enumerated into a full multiplication
-table (Todd-Coxeter coset enumeration over the trivial subgroup);
-the character table is computed by simultaneous diagonalization of the class
-algebra (Burnside's method); irreps are realized as explicit unitary matrices
-by projecting the regular representation onto an isotypic block and splitting
-off one copy with a random commutant symmetrizer.  A pair of irreps (sigma,
-psi) with the fusion rule sigma (x) psi = d_psi * sigma yields an intertwiner
-V, and composing V twice produces an R-matrix on the d_psi^2-dimensional
-multiplicity space.
+table (Todd-Coxeter coset enumeration over the trivial subgroup); every
+irrep is realized as explicit unitary matrices, its character included, from
+one eigendecomposition of a random Hermitian right convolution on the regular
+representation, whose eigenspaces are irreducible copies.  A pair of irreps
+(sigma, psi) with the fusion rule sigma (x) psi = d_psi * sigma yields an
+intertwiner V, and composing V twice produces an R-matrix on the
+d_psi^2-dimensional multiplicity space.
 
 The distinguished order-128 group whose derived R-matrix is the built-in m=4
 one ships as a bundled presentation (see gamma_presentation).  Its published
@@ -29,8 +28,9 @@ import numpy as np
 from .rmatrix import RMatrix, from_map, as_map
 
 _MAX_RETRIES = 12
-# Most conjugacy classes character_table accepts: its class-algebra tensors
-# hold 2 * 8 * k^3 bytes, 256 MiB here (an abelian group has k = |G|).
+# Most conjugacy classes irreps and character_table accept: reading the
+# characters takes one n x n gather of the eigenvectors per class, k of them
+# in all (an abelian group has k = n = |G|, so 256 gathers of 1 MiB here).
 MAX_CLASSES = 256
 
 
@@ -126,15 +126,11 @@ class FiniteGroup:
     classes: list[np.ndarray]  # conjugacy classes, order of first appearance
     class_of: np.ndarray
     gen_elems: list[int]  # element index of each generator
-    _chartable: np.ndarray | None = field(default=None, repr=False)
     _irreps: list | None = field(default=None, repr=False)
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def conjugate(self, g: int, x: int) -> int:
-        return self.mult[self.mult[g, x], self.inv[g]]
 
 
 def _coset_table(pres: GroupPresentation, max_cosets: int):
@@ -297,66 +293,7 @@ def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> Finit
 
 
 # ---------------------------------------------------------------------------
-# characters
-
-
-def character_table(G: FiniteGroup) -> np.ndarray:
-    """Irreducible characters as rows, columns indexed by conjugacy class.
-
-    Burnside's method: the class-sum multiplication matrices commute, so a
-    random real combination has the (scaled) character vectors as its
-    eigenvectors.  Rows are sorted by dimension, then lexicographically.
-    """
-    if G._chartable is not None:
-        return G._chartable
-    n = G.order
-    k = G.n_classes
-    if k > MAX_CLASSES:
-        raise GroupError(f"{k} conjugacy classes: character tables stop at {MAX_CLASSES}")
-    sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
-    counts = np.zeros((k, k, k))
-    cls = G.class_of
-    for x in range(n):
-        np.add.at(counts[cls[x]], (cls, cls[G.mult[x]]), 1.0)
-    struct = counts / sizes[None, None, :]  # struct[i,j,k'] class-algebra constants
-
-    id_cls = int(cls[0])
-    rng = np.random.default_rng(0)  # fixed: the table is cached on G
-    for _ in range(_MAX_RETRIES):
-        combo = np.tensordot(rng.standard_normal(k), struct, axes=1)
-        _, vecs = np.linalg.eig(combo)
-        # right eigenvectors of left-multiplication: v_j ~ |C_j| chi_j / d
-        chis = []
-        ok = True
-        for col in vecs.T:
-            if abs(col[id_cls]) < 1e-12:
-                ok = False
-                break
-            w = col / col[id_cls]
-            d2 = n / np.sum(np.abs(w) ** 2 / sizes)
-            if d2 <= 0:
-                ok = False
-                break
-            d = np.sqrt(d2)
-            chis.append(d * w / sizes)
-        if not ok:
-            continue
-        tbl = np.array(chis)
-        gram = (tbl * sizes[None, :]) @ tbl.conj().T / n
-        if np.max(np.abs(gram - np.eye(k))) < 1e-8:
-            dims = tbl[:, id_cls].real
-            key = [
-                (round(dims[i]), tuple(np.round(tbl[i], 6).view(np.float64)))
-                for i in range(k)
-            ]
-            order = sorted(range(k), key=lambda i: key[i])
-            G._chartable = tbl[order]
-            return G._chartable
-    raise GroupError("character table did not converge (degenerate symmetrizers)")
-
-
-# ---------------------------------------------------------------------------
-# irreps as explicit matrices
+# irreps and characters
 
 
 @dataclass
@@ -373,68 +310,63 @@ class Irrep:
         return self.matrices[g]
 
 
-def _isotypic_basis(G: FiniteGroup, chi: np.ndarray, d: int) -> np.ndarray:
-    """Orthonormal columns spanning the chi-isotypic block of the left regular rep."""
-    n = G.order
-    proj = (d / n) * np.conj(chi[G.class_of[G.mult[np.arange(n)[:, None], G.inv[None, :]]]])
-    evals, evecs = np.linalg.eigh(proj)
-    basis = evecs[:, evals > 0.5]
-    if basis.shape[1] != d * d:
-        raise GroupError(f"isotypic block has rank {basis.shape[1]}, expected {d * d}")
-    return basis
-
-
-def _commutant_average(G: FiniteGroup, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_g R_g h R_g^dag / |G| for the regular rep restricted to the block.
-
-    R_g = B^dag L_g B with (L_g v)(x) = v(g^-1 x), and keys[x, y] = x^-1 y.
-    The average is B^dag F B / |G| with F[x, y] = f(x^-1 y) and
-    f(z) = sum_u K[u, u z] for K = B h B^dag: one bincount over the keys.
-    """
-    n = G.order
-    keys = G.mult[G.inv]
-    k = (basis @ h @ basis.conj().T).ravel()
-    f = np.bincount(keys.ravel(), k.real, n) + 1j * np.bincount(keys.ravel(), k.imag, n)
-    return basis.conj().T @ f[keys] @ basis / n
-
-
-def _realize_irrep(G: FiniteGroup, chi: np.ndarray, index: int, rng) -> Irrep:
-    n = G.order
-    d = int(round(chi[G.class_of[0]].real))
-    if d == 1:
-        mats = chi[G.class_of].astype(np.complex128).reshape(n, 1, 1)
-        return Irrep(G, index, 1, mats, chi.copy())
-
-    # the regular rep restricted to the isotypic block holds d copies of the irrep
-    basis = _isotypic_basis(G, chi, d)
-    for _ in range(_MAX_RETRIES):
-        h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        h = h + h.conj().T
-        tvals, tvecs = np.linalg.eigh(_commutant_average(G, basis, h))
-        # eigenvalues of the commutant operator cluster in groups of exactly d
-        splits = [0] + [
-            i for i in range(1, d * d) if tvals[i] - tvals[i - 1] > 1e-6
-        ] + [d * d]
-        blocks = [(splits[i], splits[i + 1]) for i in range(len(splits) - 1)]
-        chosen = next(((lo, hi) for lo, hi in blocks if hi - lo == d), None)
-        if chosen is None:
-            continue
-        span = basis @ tvecs[:, chosen[0]:chosen[1]]  # one copy, as columns C
-        mats = span.conj().T @ span[G.mult[G.inv]]  # C^dag L_g C for every g
-        traces = np.trace(mats[[c[0] for c in G.classes]], axis1=1, axis2=2)
-        if np.max(np.abs(traces - chi)) < 1e-8:
-            return Irrep(G, index, d, mats, chi.copy())
-    raise GroupError("irrep realization failed after bounded retries")
-
-
 def irreps(G: FiniteGroup) -> list[Irrep]:
-    """One explicit unitary Irrep per character-table row."""
+    """One explicit unitary Irrep per irreducible character, sorted by
+    dimension, then lexicographically by the rounded character.
+
+    A random Hermitian right convolution H[x, y] = f(x^-1 y), with
+    f(g^-1) = conj f(g), commutes with the left regular representation
+    (L_g v)(x) = v(g^-1 x), so it acts on the multiplicity space of each
+    irrep in the regular representation.  For a generic f every eigenspace of
+    H is therefore one irreducible copy (Serre, Linear Representations of
+    Finite Groups, secs. 2.4 and 6), and one eigh yields every irrep: with an
+    eigenspace's orthonormal columns C, C^dag L_g C is a unitary irrep and
+    its traces are the character.  One eigenspace per distinct character is
+    kept.  A draw whose eigenspaces are not all irreducible, or whose
+    characters are not an orthonormal basis of class functions, is redrawn.
+    """
     if G._irreps is not None:
         return G._irreps
-    tbl = character_table(G)
+    n, k = G.order, G.n_classes
+    if k > MAX_CLASSES:
+        raise GroupError(f"{k} conjugacy classes: character tables stop at {MAX_CLASSES}")
+    keys = G.mult[G.inv]  # keys[x, y] = x^-1 y, so C[keys[g]] = L_g C
+    sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
     rng = np.random.default_rng(0)  # fixed: the irreps are cached on G
-    G._irreps = [_realize_irrep(G, tbl[i], i, rng) for i in range(len(tbl))]
+    for _ in range(_MAX_RETRIES):
+        z = rng.standard_normal((2, n))
+        a = z[0] + 1j * z[1]
+        vals, vecs = np.linalg.eigh((a + a[G.inv].conj())[keys])
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > 1e-6)
+        # per class, the trace of L_x on each eigenvector, summed per eigenspace
+        diag = np.array([(vecs.conj() * vecs[keys[c[0]]]).sum(axis=0) for c in G.classes])
+        chars = np.add.reduceat(diag, starts, axis=1).T
+        gram = (chars * sizes) @ chars.conj().T / n
+        # gram is 1 between copies of one irrep and 0 otherwise: keep each first copy
+        kept = np.flatnonzero(np.argmax(gram.real > 0.5, axis=0) == np.arange(len(starts)))
+        if (
+            np.max(np.abs(np.diagonal(gram) - 1)) < 1e-8
+            and len(kept) == k
+            and np.max(np.abs(gram[np.ix_(kept, kept)] - np.eye(k))) < 1e-8
+        ):
+            break
+    else:
+        raise GroupError("irreps did not converge (degenerate right convolutions)")
+    ends = np.append(starts[1:], n)
+    dims = ends - starts
+    order = sorted(kept, key=lambda j: (dims[j], tuple(np.round(chars[j], 6).view(np.float64))))
+    G._irreps = []
+    for index, j in enumerate(order):
+        span = vecs[:, starts[j]:ends[j]]
+        mats = span.conj().T @ span[keys]  # C^dag L_g C for every g
+        G._irreps.append(Irrep(G, index, int(dims[j]), mats, chars[j].copy()))
     return G._irreps
+
+
+def character_table(G: FiniteGroup) -> np.ndarray:
+    """Irreducible characters as rows, in irreps(G) order; columns indexed by
+    conjugacy class."""
+    return np.array([rep.character for rep in irreps(G)])
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +439,6 @@ class Intertwiner:
     sigma: Irrep
     psi: Irrep
     V: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.psi.dim
 
 
 def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:

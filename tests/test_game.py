@@ -190,7 +190,7 @@ class TestProtocol:
                 moves += 1
             elif e["event"] == "referee-check":
                 checks += 1
-        assert checks >= moves // base_cfg.check_cadence
+        assert checks >= moves // gm.CHECK_CADENCE
 
     def test_report_serializes(self, base_cfg):
         _, rep = gm.run_protocol(base_cfg)

@@ -123,6 +123,67 @@ def test_enumeration_matches_recorded_tables(name):
     } == fixtures[name]
 
 
+def reference_character_table(G):
+    """Burnside's method: the class-sum multiplication matrices commute, so a
+    random real combination has the (scaled) character vectors as its
+    eigenvectors.  Rows sorted as irreps sorts them."""
+    n, k = G.order, G.n_classes
+    sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
+    counts = np.zeros((k, k, k))
+    cls = G.class_of
+    for x in range(n):
+        np.add.at(counts[cls[x]], (cls, cls[G.mult[x]]), 1.0)
+    struct = counts / sizes[None, None, :]  # struct[i,j,k'] class-algebra constants
+    combo = np.tensordot(np.random.default_rng(0).standard_normal(k), struct, axes=1)
+    _, vecs = np.linalg.eig(combo)
+    # right eigenvectors of left-multiplication: v_j ~ |C_j| chi_j / d
+    w = vecs / vecs[cls[0]]
+    tbl = np.sqrt(n / np.sum(np.abs(w) ** 2 / sizes[:, None], axis=0))[:, None] * (w.T / sizes)
+    key = [(round(row[cls[0]].real), tuple(np.round(row, 6).view(np.float64))) for row in tbl]
+    return tbl[sorted(range(k), key=lambda i: key[i])]
+
+
+def _alternative_gamma():
+    """The bundled presentation with z1 z2 z3 z4 = c in place of = 1 (order 128)."""
+    pres = ge.gamma_presentation()
+    rels = [r for r in pres.relations if r != ("z1", "z2", "z3", "z4")]
+    rels.append(("z1", "z2", "z3", "z4", "c^-1"))
+    return ge.GroupPresentation(pres.generators, tuple(rels))
+
+
+REFERENCE_GROUPS = {**FIXTURE_GROUPS, "alternative": (_alternative_gamma, 512)}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_character_table_matches_burnside(name):
+    pres, bound = REFERENCE_GROUPS[name]
+    G = ge.enumerate_group(pres(), order_bound=bound)
+    ref = reference_character_table(G)
+    tbl = ge.character_table(G)
+    assert tbl.shape == ref.shape
+    assert np.max(np.abs(tbl - ref)) < 1e-10
+    assert [rep.index for rep in ge.irreps(G)] == list(range(len(ref)))
+
+
+class _ZeroDraws:
+    """Wraps a generator; its first `zeros` standard_normal draws are all zero."""
+
+    def __init__(self, inner, zeros):
+        self.inner = inner
+        self.zeros = zeros
+
+    def standard_normal(self, shape):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(shape)
+        return self.inner.standard_normal(shape)
+
+
+def _patch_zero_draws(monkeypatch, zeros):
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroDraws(real(seed), zeros))
+
+
 class TestCharacters:
     def test_too_many_classes_rejected_before_allocating(self):
         cyclic = ge.enumerate_group(ge.GroupPresentation(("a",), (("a",) * 300,)))
@@ -183,36 +244,20 @@ class TestIrreps:
         vals = sorted(complex(r.matrices[1, 0, 0]).real for r in reps)
         assert np.allclose(vals, [-1.0, 1.0])
 
+    def test_zero_draw_is_redrawn(self, monkeypatch):
+        G = ge.enumerate_group(ge.d4_presentation())
+        ref = reference_character_table(G)
+        _patch_zero_draws(monkeypatch, 1)
+        assert np.max(np.abs(ge.character_table(G) - ref)) < 1e-10
 
-def reference_commutant_average(G, basis, h):
-    """The group average over the stacked restricted regular rep R_g, one
-    (d^2, d^2) block per element."""
-    n = G.order
-    bh = basis.conj().T
-    restricted = np.stack([bh @ basis[G.mult[G.inv[g]], :] for g in range(n)])
-    return (restricted @ h @ restricted.conj().transpose(0, 2, 1)).sum(axis=0) / n
-
-
-class TestCommutantAverage:
-    def test_matches_stacked_average(self, small_groups, gamma):
-        rng = np.random.default_rng(17)
-        checked = 0
-        for G in (small_groups["S3"], small_groups["D4"], gamma):
-            for chi in ge.character_table(G):
-                d = int(round(chi[G.class_of[0]].real))
-                if d < 2:
-                    continue
-                basis = ge._isotypic_basis(G, chi, d)
-                h = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-                h = h + h.conj().T
-                ref = reference_commutant_average(G, basis, h)
-                assert np.max(np.abs(ge._commutant_average(G, basis, h) - ref)) < 1e-12
-                checked += 1
-        assert checked == 1 + 1 + 9  # S3 and D4 have one irrep with d >= 2, gamma128 nine
+    def test_zero_draws_raise(self, monkeypatch):
+        G = ge.enumerate_group(ge.d4_presentation())
+        _patch_zero_draws(monkeypatch, ge._MAX_RETRIES)
+        with pytest.raises(ge.GroupError, match="did not converge"):
+            ge.irreps(G)
 
     def test_gamma_irreps_peak_memory(self):
         G = ge.enumerate_group(ge.gamma_presentation())
-        ge.character_table(G)
         tracemalloc.start()
         try:
             reps = ge.irreps(G)
@@ -395,11 +440,7 @@ class TestSupplementaryRelation:
         """The competing central identification also closes at order 128 but
         its representation ring has no 8-dimensional irrep, hence no fusion
         pair; this is what singles out the bundled relation."""
-        pres = ge.gamma_presentation()
-        rels = [r for r in pres.relations if r != ("z1", "z2", "z3", "z4")]
-        rels.append(("z1", "z2", "z3", "z4", "c^-1"))
-        alt = ge.GroupPresentation(pres.generators, tuple(rels))
-        G = ge.enumerate_group(alt, order_bound=512)
+        G = ge.enumerate_group(_alternative_gamma(), order_bound=512)
         assert G.order == 128
         tbl = ge.character_table(G)
         dims = sorted(int(round(row[G.class_of[0]].real)) for row in tbl)
