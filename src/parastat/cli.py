@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 domain failure (a check failed or the game was
 lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
 (command, resolved arguments, seed, version, timestamp, input digests);
 apart from the timestamp, reruns with the same arguments are byte-identical.
-All randomness flows from the --seed value through Philox counter-based
-generators, so each seeded trial sweep is reproducible.
+Each random draw is seeded, so reruns reproduce: the game sweeps (simulate,
+twist, noise-sweep) draw from Philox counter-based generators keyed by
+--seed; derive-r's intertwiner draw and gauge-check's commutator samples use
+numpy's default PCG64 generator seeded with --seed; and the irreps that both
+build come from a PCG64 generator with the fixed seed 0.
 """
 
 from __future__ import annotations

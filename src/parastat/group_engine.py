@@ -5,9 +5,11 @@ table (Todd-Coxeter coset enumeration over the trivial subgroup); every
 irrep is realized as explicit unitary matrices, its character included, from
 one eigendecomposition of a random Hermitian right convolution on the regular
 representation, whose eigenspaces are irreducible copies.  A pair of irreps
-(sigma, psi) with the fusion rule sigma (x) psi = d_psi * sigma yields an
-intertwiner V, and composing V twice produces an R-matrix on the
-d_psi^2-dimensional multiplicity space.
+(sigma, psi) with the fusion rule sigma (x) psi = d_psi * sigma yields a
+unitary intertwiner V, built from Schur's matrix units of sigma inside
+sigma (x) psi (one contraction of the two irreps' matrix tables), and
+composing V twice produces an R-matrix on the d_psi^2-dimensional
+multiplicity space.
 
 The distinguished order-128 group whose derived R-matrix is the built-in m=4
 one ships as a bundled presentation (see gamma_presentation).  Its published
@@ -32,6 +34,9 @@ _MAX_RETRIES = 12
 # characters takes one n x n gather of the eigenvectors per class, k of them
 # in all (an abelian group has k = n = |G|, so 256 gathers of 1 MiB here).
 MAX_CLASSES = 256
+# Entries irreps and gauge_match hold in one block of a batched gather or
+# comparison: 2^16 (1 MiB as complex128), or one item when an item is larger.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class GroupError(RuntimeError):
@@ -358,7 +363,10 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
     G._irreps = []
     for index, j in enumerate(order):
         span = vecs[:, starts[j]:ends[j]]
-        mats = span.conj().T @ span[keys]  # C^dag L_g C for every g
+        mats = np.empty((n, dims[j], dims[j]), dtype=np.complex128)
+        block = max(1, _BLOCK_ENTRIES // span.size)
+        for g in range(0, n, block):  # C^dag L_g C, one gemm per g
+            mats[g:g + block] = span.conj().T @ span[keys[g:g + block]]
         G._irreps.append(Irrep(G, index, int(dims[j]), mats, chars[j].copy()))
     return G._irreps
 
@@ -442,28 +450,48 @@ class Intertwiner:
 
 
 def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
-    """Group-average a random matrix and polar-decompose the result."""
+    """Unitary intertwiner C^m (x) sigma -> sigma (x) psi from Schur's matrix units.
+
+    With rho = sigma (x) psi, the operators
+    p_b1 = (d_sigma / |G|) sum_g conj(sigma(g)_b1) rho(g) satisfy
+    rho(h) p_b1 = sum_c sigma(h)_cb p_c1 (Serre, Linear Representations of
+    Finite Groups, sec. 2.7, prop. 8): p_11 is the orthogonal projector onto
+    the first basis vectors of the sigma copies in rho, and p_b1 maps them
+    isometrically to the b-th.  The polar factor of p_11 Z, for a random
+    complex dim x m matrix Z, is an orthonormal basis q_1..q_m of range(p_11),
+    and column (a, b) of V is p_b1 q_a.  Every p_b1 is one contraction of
+    sigma's (|G|, d_sigma^2) table with psi's (|G|, m^2) table.
+
+    A draw is redrawn when p_11 Z is rank-deficient (s_min <= 1e-8 s_max) or
+    V misses the intertwining relation by more than 1e-8 on a generator;
+    after _MAX_RETRIES draws GroupError is raised.  That is also the outcome
+    when sigma (x) psi is not m copies of sigma.
+    """
     G = sigma.group
     n = G.order
     ds, m = sigma.dim, psi.dim
     dim = ds * m
+    sig = sigma.matrices.reshape(n, ds * ds)
+    weighted = sigma.matrices[:, :, 0].conj()[:, :, None] * psi.matrices.reshape(n, 1, m * m)
+    p = (sig.T @ weighted.reshape(n, ds * m * m)) * (ds / n)  # [(i, j), (b, k, l)]
+    p = p.reshape(ds, ds, ds, m, m).transpose(2, 0, 3, 1, 4).reshape(ds, dim, dim)
     rng = np.random.default_rng(seed)
-    left = np.einsum("gij,gkl->gikjl", sigma.matrices, psi.matrices).reshape(n, dim, dim)
-    right = np.einsum("ij,gkl->gikjl", np.eye(m), sigma.matrices).reshape(n, dim, dim)
     for _ in range(_MAX_RETRIES):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        t = (left @ x @ right.conj().transpose(0, 2, 1)).sum(axis=0) / n
-        u, s, vh = np.linalg.svd(t)
-        if s[-1] < 1e-8 * s[0]:
-            continue  # rank-deficient average; try a fresh X
-        v = u @ vh
+        z = rng.standard_normal((2, dim, m))
+        u, s, vh = np.linalg.svd(p[0] @ (z[0] + 1j * z[1]), full_matrices=False)
+        if s[-1] <= 1e-8 * s[0]:
+            continue  # rank-deficient draw; try a fresh Z
+        v = (p @ (u @ vh)).transpose(1, 2, 0).reshape(dim, dim)  # column a * ds + b
         residual = max(
-            np.max(np.abs(left[G.gen_elems[i]] @ v - v @ right[G.gen_elems[i]]))
-            for i in range(len(G.gen_elems))
+            np.max(np.abs(np.kron(sigma(g), psi(g)) @ v - v @ np.kron(np.eye(m), sigma(g))))
+            for g in G.gen_elems
         )
         if residual <= 1e-8:
             return Intertwiner(sigma, psi, v)
-    raise GroupError("intertwiner averaging stayed rank-deficient")
+    raise GroupError(
+        f"no unitary intertwiner after {_MAX_RETRIES} draws: p_11 Z stayed "
+        "rank-deficient or V failed the intertwining check"
+    )
 
 
 def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
@@ -489,11 +517,6 @@ def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
     return from_map(mat, m)
 
 
-# Phase tuples gauge_match compares at once: its block arrays then hold at most
-# 2^16 entries (1 MiB as complex128) at any m.
-_GAUGE_BLOCK_ENTRIES = 1 << 16
-
-
 def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     """Monomial gauge Q with (Q x Q) map(r1) (Q x Q)^dag = map(r2), or None.
 
@@ -506,7 +529,7 @@ def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     m = 4, where a full search takes a few ms; at m = 8 a miss costs about
     1 s per permutation, half a day in all.  Working memory stays
     bounded at every m: phase tuples are compared in blocks of at most
-    _GAUGE_BLOCK_ENTRIES entries.  Absence of a monomial match does not
+    _BLOCK_ENTRIES entries.  Absence of a monomial match does not
     disprove equivalence under a general unitary gauge.
 
     A monomial Q e_i = ph_i e_perm(i) only permutes and rephases entries:
@@ -527,7 +550,7 @@ def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     turned = turn[:, None, None] * m1
     cols = np.arange(m * m)
     n_tuples = 4 ** (m - 1)
-    block = max(1, min(n_tuples, _GAUGE_BLOCK_ENTRIES // m**4))
+    block = max(1, min(n_tuples, _BLOCK_ENTRIES // m**4))
     places = 4 ** np.arange(m - 2, -1, -1)  # product order: last phase varies fastest
 
     def phase_block(start):

@@ -267,6 +267,19 @@ class TestIrreps:
         assert max(rep.dim for rep in reps) == 8
         assert peak < 8 * 2**20
 
+    def test_gamma256_irreps_peak_memory(self):
+        """The matrices are gathered in bounded blocks of group elements, not
+        as one (|G|, |G|, d) array (10.8 MiB here)."""
+        G = ge.enumerate_group(_loose_gamma(), order_bound=1024)
+        tracemalloc.start()
+        try:
+            reps = ge.irreps(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.order == 256 and max(rep.dim for rep in reps) == 8
+        assert peak < 6 * 2**20
+
 
 class TestFusion:
     def test_tensor_with_trivial(self, gamma):
@@ -294,16 +307,65 @@ class TestFusion:
                 ge.find_para_pair(small_groups[name])
 
 
+def reference_intertwiner(sigma, psi, seed=0):
+    """Group average of a random matrix X over (sigma(g) (x) psi(g)) X (1 (x) sigma(g))^dag,
+    polar-decomposed; one (|G|, dim, dim) stack per side, no retry."""
+    n, ds, m = sigma.group.order, sigma.dim, psi.dim
+    dim = ds * m
+    rng = np.random.default_rng(seed)
+    left = np.einsum("gij,gkl->gikjl", sigma.matrices, psi.matrices).reshape(n, dim, dim)
+    right = np.einsum("ij,gkl->gikjl", np.eye(m), sigma.matrices).reshape(n, dim, dim)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u, _, vh = np.linalg.svd((left @ x @ right.conj().transpose(0, 2, 1)).sum(axis=0) / n)
+    return ge.Intertwiner(sigma, psi, u @ vh)
+
+
 class TestIntertwiner:
+    def test_matches_reference_up_to_gauge(self, gamma_pair, gamma_derived):
+        sigma, psi = gamma_pair
+        derived = gamma_derived[0]
+        ref = ge.derive_r(sigma, psi, reference_intertwiner(sigma, psi))
+        for r in (derived, ref):
+            assert rm.check_yang_baxter(r, 1e-8).passed
+            assert rm.check_unitary(r, 1e-8).passed
+            assert rm.check_perfect_tensor(r, 1e-8).passed
+        assert rm.invariants_close(
+            rm.spectral_invariants(derived), rm.spectral_invariants(ref), tol=1e-10
+        )
+
+    def test_zero_draw_is_redrawn(self, gamma_pair, monkeypatch):
+        sigma, psi = gamma_pair
+        expected = ge.solve_intertwiner(sigma, psi, seed=3).V
+        _patch_zero_draws(monkeypatch, 1)
+        assert np.array_equal(ge.solve_intertwiner(sigma, psi, seed=3).V, expected)
+
+    def test_zero_draws_raise(self, gamma_pair, monkeypatch):
+        sigma, psi = gamma_pair
+        _patch_zero_draws(monkeypatch, ge._MAX_RETRIES)
+        with pytest.raises(ge.GroupError, match="no unitary intertwiner"):
+            ge.solve_intertwiner(sigma, psi)
+
+    def test_gamma_peak_memory(self, gamma_pair):
+        sigma, psi = gamma_pair
+        tracemalloc.start()
+        try:
+            ge.solve_intertwiner(sigma, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_isometry_and_intertwining(self, gamma, gamma_pair, gamma_derived):
+        """Unitary, and intertwining on all 128 elements, not just the generators."""
         sigma, psi = gamma_pair
         _, inter = gamma_derived
         v = inter.V
-        assert np.max(np.abs(v.conj().T @ v - np.eye(32))) < 1e-9
-        for g in gamma.gen_elems:
+        assert np.max(np.abs(v.conj().T @ v - np.eye(32))) < 1e-12
+        assert gamma.order == 128
+        for g in range(gamma.order):
             lhs = np.kron(sigma(g), psi(g)) @ v
             rhs = v @ np.kron(np.eye(4), sigma(g))
-            assert np.max(np.abs(lhs - rhs)) < 1e-8
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_trivial_psi_gives_identity_r(self, small_groups):
         G = small_groups["S3"]
