@@ -147,9 +147,7 @@ def cmd_derive_r(args) -> int:
     G = group_engine.enumerate_group(pres, args.order_bound)
     payload = {"manifest": _manifest(args, inputs), "group_order": G.order}
     try:
-        sigma, psi = group_engine.find_para_pair(G)
-        inter = group_engine.solve_intertwiner(sigma, psi, seed=args.seed)
-        derived = group_engine.derive_r(sigma, psi, inter)
+        inter, derived = group_engine.find_para_pair(G, seed=args.seed)
     except group_engine.GroupError as exc:
         payload["error"] = str(exc)
         _emit(args, payload)
@@ -160,8 +158,8 @@ def cmd_derive_r(args) -> int:
     inv_match = same_m and rmatrix.invariants_close(inv_d, rmatrix.spectral_invariants(ref))
     q = group_engine.gauge_match(derived, ref) if same_m else None
     payload.update({
-        "d_sigma": sigma.dim,
-        "d_psi": psi.dim,
+        "d_sigma": inter.sigma.dim,
+        "d_psi": inter.psi.dim,
         "derived_supplementary": pres.derived_supplementary,
         "checks": [
             rmatrix.check_yang_baxter(derived, args.tol).as_dict(),

@@ -408,15 +408,18 @@ def fusion_decompose(G: FiniteGroup, pi1: Irrep, pi2: Irrep) -> list[tuple[int, 
     return [(i, int(m)) for i, m in enumerate(mults) if m]
 
 
-def find_para_pair(G: FiniteGroup) -> tuple[Irrep, Irrep]:
-    """Irrep pair with sigma (x) psi = d_psi * sigma, d_psi >= 2, and
-    genuinely parastatistical exchange.
+def find_para_pair(G: FiniteGroup, seed: int = 0) -> tuple[Intertwiner, RMatrix]:
+    """Intertwiner of an irrep pair with sigma (x) psi = d_psi * sigma,
+    d_psi >= 2, and genuinely parastatistical exchange, with its derived R.
 
     A fusion pair can still induce product-form (ordinary) statistics - for
     instance when psi is blind to the center that makes sigma projective -
     so each candidate's derived R is checked for non-triviality before the
     pair is accepted.  Preference among the surviving pairs: smallest d_psi,
-    then smallest d_sigma, then irrep indices.
+    then smallest d_sigma, then irrep indices.  seed goes to
+    solve_intertwiner.  It cannot change which pair wins: the check is
+    whether R is a rank-1 product, which the Q (x) Q gauge that separates two
+    seeds' intertwiners preserves.
     """
     from .rmatrix import is_trivial_product
 
@@ -430,9 +433,10 @@ def find_para_pair(G: FiniteGroup) -> tuple[Irrep, Irrep]:
     candidates = [(psis[j].dim, reps[s].dim, s, psis[j].index) for s, j in np.argwhere(hits)]
     for _, _, si, pi in sorted(candidates):
         sigma, psi = reps[si], reps[pi]
-        derived = derive_r(sigma, psi, solve_intertwiner(sigma, psi))
+        inter = solve_intertwiner(sigma, psi, seed)
+        derived = derive_r(sigma, psi, inter)
         if is_trivial_product(derived, 1e-8) is None:
-            return sigma, psi
+            return inter, derived
     raise GroupError("no parastatistical fusion rule in Rep(G)")
 
 

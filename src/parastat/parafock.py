@@ -12,8 +12,11 @@ A swap moves positions and labels together, but which slots get swapped is
 decided by the positions alone, never by the labels.  So every configuration
 that shares a position tuple follows the same swaps: they are computed once
 per position tuple (an insertion sort, O(n + swaps)), then applied to all of
-its label tuples at once, merging equal ones after each swap.  Sorting costs
-O(n + swaps x support) label-tuple updates, not one pass per branch.
+its label tuples at once.  A swap whose R column has one nonzero entry (every
+swap under the paper's R) rewrites two labels of a tuple in place, O(1) per
+label tuple; only after a swap where some column branches are tuple keys
+formed and equal label tuples merged.  A move that passes no particle keeps
+every list in order and only relabels the position.
 
 Positions are arbitrary integers; geometry only enters through their order.
 Two particles never share a position (exclusion is rejected, not modeled).
@@ -134,28 +137,56 @@ def _exchange(groups: dict, t: np.ndarray, schedule) -> dict:
     (x, u), (y, v) -> t[i-1, j-1, u-1, v-1] (y, i), (x, j)
     (t is indexed like RMatrix.entries).  Which slot is swapped depends on
     the positions alone, never on the labels, so one schedule serves every
-    label tuple of a position tuple, and merging equal label tuples after
-    each swap makes a position tuple cost O(swaps x support) label-tuple
-    updates.  Each t column's nonzero entries are read once per call.
+    label tuple of a position tuple.  Where every row's t column has one
+    nonzero entry, a swap rewrites two labels and scales the amplitude in
+    place, O(1) per row (a row's labels become a list on its first such
+    swap); only after a swap where some column branches (two or more
+    entries, or none) are tuple keys formed and equal rows merged.  A
+    single-branch swap adds no row, so the rows never outnumber the support
+    of the last merge.  Each t column's nonzero entries are read once per
+    call.
     """
-    cols: dict[tuple, list] = {}  # (u, v) -> [(i, j, t[i-1, j-1, u-1, v-1]) nonzero]
+    m = t.shape[0]
+    cols: list[list] = [[None] * (m + 1) for _ in range(m + 1)]  # [u][v] -> [(i, j, t)]
+
+    def column(u, v):
+        col = cols[u][v]
+        if col is None:
+            block = t[:, :, u - 1, v - 1]
+            col = cols[u][v] = [(int(i) + 1, int(j) + 1, complex(block[i, j]))
+                                for i, j in zip(*np.nonzero(block))]
+        return col
+
     out: dict[Config, complex] = {}
     for positions, amps in groups.items():
         slots, final = schedule(positions)
+        rows = list(amps.items())  # (labels, amplitude) rows
         for k in slots:
-            nxt: dict[tuple, complex] = {}
-            for labels, c in amps.items():
-                uv = labels[k:k + 2]
-                col = cols.get(uv)
-                if col is None:
-                    block = t[:, :, uv[0] - 1, uv[1] - 1]
-                    col = cols[uv] = [(int(i) + 1, int(j) + 1, complex(block[i, j]))
-                                      for i, j in zip(*np.nonzero(block))]
-                head, tail = labels[:k], labels[k + 2:]
-                for i, j, f in col:
+            dead = False
+            for n, row in enumerate(rows):
+                labels = row[0]
+                col = cols[labels[k]][labels[k + 1]] or column(labels[k], labels[k + 1])
+                if len(col) != 1:
+                    break
+                if row.__class__ is tuple:
+                    rows[n] = row = [list(labels), row[1]]
+                    labels = row[0]
+                (labels[k], labels[k + 1], f), = col
+                c = row[1] = row[1] * f
+                dead = dead or abs(c) <= PRUNE
+            else:  # no column branched: equal rows, if any, merge later
+                if dead:
+                    rows = [row for row in rows if abs(row[1]) > PRUNE]
+                continue
+            nxt: dict[tuple, complex] = {}  # rows before n are swapped, the rest are not
+            for labels, c in rows[:n]:
+                _accumulate(nxt, tuple(labels), c)
+            for labels, c in rows[n:]:
+                head, tail = tuple(labels[:k]), tuple(labels[k + 2:])
+                for i, j, f in column(labels[k], labels[k + 1]):
                     _accumulate(nxt, head + (i, j) + tail, c * f)
-            amps = nxt
-        for labels, c in amps.items():
+            rows = list(nxt.items())
+        for labels, c in rows:
             _accumulate(out, tuple(zip(final, labels)), c)
     return out
 
@@ -208,8 +239,24 @@ def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVecto
 
 
 def move(state: StateVector, src: int, dst: int) -> StateVector:
-    """Relocate the particle at src to dst, keeping its label; re-normal-form."""
-    dst, raw = int(dst), {}
+    """Relocate the particle at src to dst, keeping its label; re-normal-form.
+    A move that passes no particle in any configuration only relabels."""
+    src, dst = int(src), int(dst)
+    moved: dict[Config, complex] = {}
+    for cfg, c in state.amps.items():
+        positions = [p for p, _ in cfg]
+        if src not in positions:
+            raise FockError(f"no particle at position {src}")
+        if dst != src and dst in positions:
+            raise FockError(_OCCUPIED)
+        k = positions.index(src)
+        if (k and positions[k - 1] > dst) or (k + 1 < len(cfg) and positions[k + 1] < dst):
+            break  # a neighbour lies between src and dst: this move crosses it
+        if abs(c) > PRUNE:
+            moved[cfg[:k] + ((dst, cfg[k][1]),) + cfg[k + 1:]] = c
+    else:
+        return StateVector(state.r, moved)
+    raw = {}
     for positions, amps in _groups(state.amps).items():
         if src not in positions:
             raise FockError(f"no particle at position {src}")
@@ -238,6 +285,8 @@ def measure_corner(state: StateVector, end: str, pos: int | None = None):
         dist[lab] = dist.get(lab, 0.0) + abs(c) ** 2
         branches.setdefault(lab, {})[cfg] = c
     total = sum(dist.values())
+    if not total:
+        raise FockError("nothing to measure: the state is empty or has norm zero")
     dist = {lab: w / total for lab, w in dist.items()}
     collapsed = {}
     for lab, amps in branches.items():
@@ -308,10 +357,12 @@ def dump_state(state: StateVector) -> list:
 
 
 def load_state(data: list, r: RMatrix) -> StateVector:
+    """Inverse of dump_state.  Like every operation here, it drops amplitudes
+    of magnitude <= PRUNE, so no stored configuration has weight zero."""
     amps: dict[Config, complex] = {}
     for term in data:
         cfg = _config(zip(term["positions"], term["labels"]), r.m)
         if any(p >= q for (p, _), (q, _) in zip(cfg, cfg[1:])):
             raise FockError("state dump not in normal form")
         amps[cfg] = complex(term["re"], term["im"])
-    return StateVector(r, amps)
+    return StateVector(r, {cfg: c for cfg, c in amps.items() if abs(c) > PRUNE})

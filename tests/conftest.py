@@ -9,15 +9,20 @@ def gamma():
 
 
 @pytest.fixture(scope="session")
-def gamma_pair(gamma):
+def gamma_found(gamma):
     return ge.find_para_pair(gamma)
 
 
 @pytest.fixture(scope="session")
-def gamma_derived(gamma_pair):
-    sigma, psi = gamma_pair
-    inter = ge.solve_intertwiner(sigma, psi)
-    return ge.derive_r(sigma, psi, inter), inter
+def gamma_pair(gamma_found):
+    inter, _ = gamma_found
+    return inter.sigma, inter.psi
+
+
+@pytest.fixture(scope="session")
+def gamma_derived(gamma_found):
+    inter, derived = gamma_found
+    return derived, inter
 
 
 @pytest.fixture(scope="session")

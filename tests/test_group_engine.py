@@ -301,6 +301,18 @@ class TestFusion:
         assert (sigma.dim, psi.dim) == (8, 4)
         assert ge.fusion_decompose(gamma, sigma, psi) == [(sigma.index, 4)]
 
+    def test_seed_does_not_change_the_pair(self, gamma, gamma_found):
+        """gamma has six fusion candidates with product-form R ahead of the
+        winner.  Seeds differ by a Q (x) Q gauge on R, which keeps it a
+        product or not, so every seed rejects the same ones."""
+        won = (gamma_found[0].sigma.index, gamma_found[0].psi.index)
+        for seed in range(6):
+            inter, derived = ge.find_para_pair(gamma, seed=seed)
+            assert (inter.sigma.index, inter.psi.index) == won
+            alone = ge.solve_intertwiner(inter.sigma, inter.psi, seed=seed)
+            assert np.array_equal(inter.V, alone.V)
+            assert derived == ge.derive_r(inter.sigma, inter.psi, alone)
+
     def test_no_pair_in_abelian_or_dihedral(self, small_groups):
         for name in ("Z2", "D4"):
             with pytest.raises(ge.GroupError, match="no parastatistical"):

@@ -248,6 +248,67 @@ class TestMixedPositions:
                                 reference_move(state, shared, dst)) <= 1e-12
 
 
+def collapsing_r(seed, zero_column=False):
+    """An m = 3 tensor, neither unitary nor a braid solution, where every
+    column but (1, 2) holds one nonzero entry and all of those land on two
+    (b', a') targets: distinct label tuples become equal after a swap, so
+    their merge is deferred.  Column (1, 2) branches in two.  With
+    zero_column, column (2, 1) is zero and rows that reach it die."""
+    rng = np.random.default_rng(seed)
+    e = np.zeros((3, 3, 3, 3), dtype=complex)
+    targets = ((0, 1), (2, 2))
+    for u in range(3):
+        for v in range(3):
+            f = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            e[targets[(u + v) % 2] + (u, v)] = f
+    e[1, 0, 0, 1] = 0.6j  # the branching column (1, 2)
+    if zero_column:
+        e[:, :, 1, 0] = 0.0
+    return rm.RMatrix(e)
+
+
+class TestExchangeExactness:
+    """The in-place exchange against the path-expanding reference."""
+
+    @pytest.mark.parametrize("sign", (+1, -1))
+    def test_paper3d_sorts_are_exact(self, sign):
+        # one branch per exchange: the same products in the same order
+        r = rm.paper_r(sign)
+        rng = np.random.default_rng(53)
+        for n in (16, 32, 48, 64):
+            for _ in range(2):
+                raw = list(zip((rng.permutation(n) + 1).tolist(),
+                               rng.integers(1, 5, n).tolist()))
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                assert pf.normal_form(raw, r, c).amps == reference_normal_form(raw, r, c)
+
+    @pytest.mark.parametrize("zero_column", (False, True))
+    def test_collapsing_columns(self, zero_column):
+        r = collapsing_r(59, zero_column)
+        rng = np.random.default_rng(61)
+        for n in range(2, 7):
+            for _ in range(8):
+                raw = TestAgainstReference.scrambled(rng, n, 3, 10)
+                assert max_diff(pf.normal_form(raw, r).amps,
+                                reference_normal_form(raw, r)) <= 1e-12
+            state = TestMixedPositions.mixed(rng, r, n, shared=10)
+            for dst in (1, 21):  # past every particle below or above site 10
+                assert max_diff(pf.move(state, 10, dst).amps,
+                                reference_move(state, 10, dst)) <= 1e-12
+
+    def test_deferred_merge(self):
+        # (1,1) and (1,3) -> (1,2) on the first swap, then one more swap each
+        r = collapsing_r(59)
+        state = pf.StateVector(r, {((1, 1), (2, 1), (5, 2)): 0.6, ((1, 1), (2, 3), (5, 2)): 0.8j})
+        moved = pf.move(state, 1, 7)
+        assert max_diff(moved.amps, reference_move(state, 1, 7)) <= 1e-12
+        assert len(moved.amps) <= 1
+
+    def test_dead_rows_leave_an_empty_state(self):
+        r = collapsing_r(59, zero_column=True)
+        assert pf.normal_form(((4, 2), (1, 1)), r).amps == {}
+
+
 def first_descent_slots(positions):
     """The former sorter's swap sequence: swap at the first descent until sorted."""
     ps, slots = list(positions), []
@@ -405,6 +466,44 @@ class TestMove:
             pf.move(state2, 2, 4)
 
 
+class TestMoveWithoutCrossing:
+    """Moves that pass no particle in any configuration relabel directly."""
+
+    @pytest.mark.parametrize("name", ("paper3d", "braid-fixture", "gauged-paper3d"))
+    def test_matches_reference(self, name):
+        r = TestAgainstReference.r_matrix(name)
+        rng = np.random.default_rng(67)
+        for n in range(2, 6):
+            for _ in range(3):
+                shared = int(rng.integers(1, 21))
+                state = TestMixedPositions.mixed(rng, r, n, shared)
+                tuples = {tuple(p for p, _ in cfg) for cfg in state.amps}
+                clear = [p for p in range(0, 22) if all(
+                    p not in t and not any(min(shared, p) < q < max(shared, p) for q in t)
+                    for t in tuples)]
+                for dst in clear:
+                    assert pf.move(state, shared, dst).amps == reference_move(state, shared, dst)
+
+    def test_prunes_like_the_exchange_path(self):
+        r = rm.paper_r(+1)
+        state = pf.StateVector(r, {((2, 1), (6, 2)): 1.0, ((2, 3), (6, 4)): 1e-15})
+        assert pf.move(state, 2, 3).amps == {((3, 1), (6, 2)): 1.0}
+        assert pf.move(state, 2, 3).amps == reference_move(state, 2, 3)
+
+    def test_errors(self):
+        r = rm.paper_r(+1)
+        state = pf.StateVector(r, {((2, 1), (6, 2)): 0.6, ((2, 3), (4, 1)): 0.8})
+        with pytest.raises(pf.FockError, match="no particle at position 3"):
+            pf.move(state, 3, 1)
+        with pytest.raises(pf.FockError, match="no particle at position 4"):
+            pf.move(state, 4, 5)  # present in one tuple only
+        with pytest.raises(pf.FockError, match="occupied"):
+            pf.move(state, 2, 4)  # dst occupied in the second tuple only
+        state = pf.StateVector(r, {((2, 1), (4, 2)): 0.6, ((2, 3), (7, 1)): 0.8})
+        with pytest.raises(pf.FockError, match="occupied"):
+            pf.move(state, 2, 4)  # dst occupied in the first tuple only
+
+
 class TestMeasurement:
     def test_corner_distribution_and_collapse(self):
         r = rm.paper_r(+1)
@@ -429,6 +528,11 @@ class TestMeasurement:
         dist, _ = pf.measure_corner(mixed, "front")
         assert dist[1] == pytest.approx(0.25)
         assert dist[2] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("amps", ({}, {((3, 1),): 0j}))
+    def test_zero_norm_rejected(self, amps):
+        with pytest.raises(pf.FockError, match="norm zero"):
+            pf.measure_corner(pf.StateVector(rm.paper_r(+1), amps), "front")
 
     def test_position_mismatch_rejected(self):
         r = rm.paper_r(+1)
@@ -503,6 +607,15 @@ class TestSerialization:
         state = pf.normal_form(((8, 2), (3, 4), (5, 1)), r)
         back = pf.load_state(pf.dump_state(state), r)
         assert back.allclose(state)
+
+    def test_drops_zero_amplitudes(self):
+        r = rm.paper_r(+1)
+        data = [{"positions": [1, 5], "labels": [1, 2], "re": 0.0, "im": 0.0},
+                {"positions": [1, 5], "labels": [3, 2], "re": 0.0, "im": 1.0},
+                {"positions": [2, 4], "labels": [1, 1], "re": 1e-15, "im": 0.0}]
+        assert pf.load_state(data, r).amps == {((1, 3), (5, 2)): 1j}
+        with pytest.raises(pf.FockError, match="norm zero"):
+            pf.measure_corner(pf.load_state(data[:1], r), "back")
 
     def test_rejects_unordered(self):
         r = rm.paper_r(+1)
