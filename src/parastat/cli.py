@@ -286,11 +286,11 @@ def cmd_gauge_check(args) -> int:
 TWIST_N_MAX = 100
 # Largest --trials.  A twist trial keeps its draws and its row of the twist
 # CDF: about 1.7 KiB per trial at --n-max TWIST_N_MAX and m = 8.  A noise-sweep
-# trial keeps its noise events, label states and outcome CDF: about 3 KiB at
-# m = 8.  Either bound comes to about 0.9 GiB at worst.
+# trial keeps its label states, their product and its outcome CDF: about
+# 3.1 KiB at m = 8.  Either bound comes to about 0.9 GiB at worst.
 TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
-# Largest noise-sweep --noise-d: offsets are drawn as int64 in -d..d.
+# Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.
 NOISE_D_MAX = np.iinfo(np.int64).max - 1
 # Largest chain length, simulate --L and noise-sweep --L.  A game moves each
 # particle across the chain and logs every step: about 35 us and 0.8 KiB of
@@ -299,9 +299,9 @@ NOISE_D_MAX = np.iinfo(np.int64).max - 1
 # and takes 15 s at this bound.  noise-sweep only checks L and records it.
 CHAIN_L_MAX = 10_000
 # Largest noise-sweep --noise-l.  The sweep runs --trials trials at each of
-# the noise_l + 3 distances, in flat memory: about 11 ms per distance at the
-# default 2000 trials and m = 4, so about 1 s at this bound; at
-# NOISE_TRIALS_MAX and m = 8 a distance takes about 4 s.
+# the noise_l + 3 distances, in flat memory: about 1 ms per distance at the
+# default 2000 trials and m = 4, so about 0.1 s at this bound; at
+# NOISE_TRIALS_MAX and m = 8 a distance takes under 1 s (2-vCPU Xeon).
 NOISE_L_MAX = 100
 # Largest derive-r --order-bound.  The group's multiplication table takes
 # 8 * order^2 bytes: 128 MiB at this bound.

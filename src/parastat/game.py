@@ -409,46 +409,42 @@ def noise_experiment(cfg: GameConfig, trials: int, seed: int) -> list:
     Distances run 0..noise_l + 2.  Each trial parks the particles at a
     distance from their corners for NOISE_EXPOSURE steps with the noise
     channel active, then completes the protocol noise-free.  A noise event
-    picks a site within noise_d of a particle; it corrupts the internal label
+    (rate noise_p per particle and step) picks a site uniformly within
+    noise_d of a particle.  It applies a Haar unitary to the internal label
     only when it lands on the particle's own site while that particle sits
     within noise_l of a corner (elsewhere the label is topologically shielded
-    from local operations).
+    from local operations).  So an exposed label is scrambled with probability
+    q = 1 - (1 - noise_p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
+    unitaries is Haar and takes a fixed state to a uniform unit vector of C^m,
+    so a scrambled label is drawn as one normalized complex Gaussian vector:
+    exact in distribution.
     """
     r = cfg.r
     m = r.m
     mat = as_map(r).astype(np.complex128)
     alice, bob = _decode_tables(r)
+    # 2 * noise_d + 1 is a Python int, so it cannot overflow
+    q = 1.0 - (1.0 - cfg.noise_p / (2 * cfg.noise_d + 1)) ** NOISE_EXPOSURE
     results = []
     for dist in range(cfg.noise_l + 3):
         rng = _rng(seed, 3, dist)
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
-        hit = rng.random((NOISE_EXPOSURE, 2, trials)) < cfg.noise_p
-        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1, size=(NOISE_EXPOSURE, 2, trials))
-        # only an event on the particle's own site while exposed applies a unitary
-        applied = hit & (offset == 0) & (dist <= cfg.noise_l)
         # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
         labels = np.zeros((2, trials, m), dtype=np.complex128)
         labels[0, np.arange(trials), a] = 1.0
         labels[1, np.arange(trials), b] = 1.0
-        for step in applied:
-            for slot, sel in enumerate(step):
-                u = _haar(m, np.count_nonzero(sel), rng)
-                labels[slot, sel] = np.einsum("tij,tj->ti", u, labels[slot, sel])
+        if dist <= cfg.noise_l:
+            scrambled = rng.random((2, trials)) < q
+            z = rng.standard_normal((2, np.count_nonzero(scrambled), m))
+            z = z[0] + 1j * z[1]
+            labels[scrambled] = z / np.linalg.norm(z, axis=1, keepdims=True)
         psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
         bp, ap = np.divmod(_draw(np.abs(psi @ mat.T) ** 2, rng), m)
         ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
         wins = int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
         results.append({"distance": dist, "success_rate": wins / trials})
     return results
-
-
-def _haar(m: int, count: int, rng) -> np.ndarray:
-    """count independent Haar-random m x m unitaries."""
-    z = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
 
 
 # ---------------------------------------------------------------------------

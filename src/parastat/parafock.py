@@ -270,6 +270,7 @@ def measure_corner(state: StateVector, end: str, pos: int | None = None):
     """Projective label measurement of the front or back particle.
 
     Returns (distribution over labels, {label: collapsed normalized state}).
+    Amplitudes of modulus <= PRUNE are skipped, as load_state drops them.
     """
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
@@ -282,11 +283,12 @@ def measure_corner(state: StateVector, end: str, pos: int | None = None):
         p, lab = cfg[idx]
         if pos is not None and p != pos:
             raise FockError("no particle at corner")
-        dist[lab] = dist.get(lab, 0.0) + abs(c) ** 2
-        branches.setdefault(lab, {})[cfg] = c
-    total = sum(dist.values())
-    if not total:
+        if abs(c) > PRUNE:
+            dist[lab] = dist.get(lab, 0.0) + abs(c) ** 2
+            branches.setdefault(lab, {})[cfg] = c
+    if not dist:
         raise FockError("nothing to measure: the state is empty or has norm zero")
+    total = sum(dist.values())
     dist = {lab: w / total for lab, w in dist.items()}
     collapsed = {}
     for lab, amps in branches.items():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import parastat.cli as cli
 import parastat.game as gm
 import parastat.rmatrix as rm
 
@@ -245,6 +246,46 @@ class TestTwist:
             assert sweep(5) == sweep(5), name
 
 
+def reference_noise_experiment(cfg, trials, seed):
+    """The per-event loop noise_experiment replaced: every noise event draws
+    its offset, and each one on the particle's own site while exposed applies
+    a Haar unitary (one QR) to that label."""
+    r = cfg.r
+    m = r.m
+    mat = rm.as_map(r).astype(np.complex128)
+    alice, bob = gm._decode_tables(r)
+    results = []
+    for dist in range(cfg.noise_l + 3):
+        rng = gm._rng(seed, 3, dist)
+        a = rng.integers(m, size=trials)
+        b = rng.integers(m, size=trials)
+        hit = rng.random((gm.NOISE_EXPOSURE, 2, trials)) < cfg.noise_p
+        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1,
+                              size=(gm.NOISE_EXPOSURE, 2, trials))
+        applied = hit & (offset == 0) & (dist <= cfg.noise_l)
+        labels = np.zeros((2, trials, m), dtype=np.complex128)
+        labels[0, np.arange(trials), a] = 1.0
+        labels[1, np.arange(trials), b] = 1.0
+        for step in applied:
+            for slot, sel in enumerate(step):
+                u = _haar(m, np.count_nonzero(sel), rng)
+                labels[slot, sel] = np.einsum("tij,tj->ti", u, labels[slot, sel])
+        psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
+        bp, ap = np.divmod(gm._draw(np.abs(psi @ mat.T) ** 2, rng), m)
+        ga, gb = gm._guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
+        wins = int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
+        results.append({"distance": dist, "success_rate": wins / trials})
+    return results
+
+
+def _haar(m, count, rng):
+    """count independent Haar-random m x m unitaries."""
+    z = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    q, rr = np.linalg.qr(z)
+    d = np.diagonal(rr, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 class TestNoise:
     def test_protection_beyond_shielding_distance(self):
         cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, seed=11,
@@ -275,6 +316,34 @@ class TestNoise:
                             noise_p=0.0)
         results = gm.noise_experiment(cfg, trials=50, seed=12)
         assert all(row["success_rate"] == 1.0 for row in results)
+
+    # (p, d) = (0.2, 1) scrambles an exposed label with probability 0.42, the
+    # other two with probability 1 - 0.2^8 and 1; the cheap case gets more trials
+    @pytest.mark.parametrize("name", ("paper3d", "trivial4"))
+    @pytest.mark.parametrize("p, d, trials", ((0.2, 1, 500), (0.8, 0, 100), (1.0, 0, 100)))
+    def test_rates_match_reference_loop(self, name, p, d, trials):
+        cfg = gm.GameConfig(L=18, r=rm.builtin_r(name), a=1, b=1, noise_p=p, noise_d=d)
+        seeds = range(20)
+        n = trials * len(seeds)
+
+        def pooled(sweep):
+            wins = np.zeros(cfg.noise_l + 3)
+            for seed in seeds:
+                wins += [row["success_rate"] * trials for row in sweep(cfg, trials, seed)]
+            return wins / n
+
+        new, ref = pooled(gm.noise_experiment), pooled(reference_noise_experiment)
+        sigma = np.sqrt((new * (1 - new) + ref * (1 - ref)) / n)
+        assert np.all(np.abs(new - ref) <= 4 * sigma), (new, ref)
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_offset_range_never_hits(self):
+        # p / (2d + 1) is about 5e-20 at the largest --noise-d, so q rounds
+        # to 0 and no label is scrambled
+        cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, noise_p=1.0,
+                            noise_d=cli.NOISE_D_MAX)
+        results = gm.noise_experiment(cfg, trials=200, seed=3)
+        assert [row["success_rate"] for row in results] == [1.0] * 5
 
 
 class TestEavesdrop:

@@ -529,10 +529,21 @@ class TestMeasurement:
         assert dist[1] == pytest.approx(0.25)
         assert dist[2] == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("amps", ({}, {((3, 1),): 0j}))
+    @pytest.mark.parametrize("amps", ({}, {((3, 1),): 0j}, {((3, 1),): 1e-200}))
     def test_zero_norm_rejected(self, amps):
         with pytest.raises(pf.FockError, match="norm zero"):
             pf.measure_corner(pf.StateVector(rm.paper_r(+1), amps), "front")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiny", (0j, 1e-200))
+    def test_negligible_branch_skipped(self, tiny):
+        r = rm.paper_r(+1)
+        kept = ((1, 1), (5, 2))
+        state = pf.StateVector(r, {kept: 1.0, ((1, 1), (5, 3)): tiny})
+        dist, collapsed = pf.measure_corner(state, "back")
+        assert dist == {2: 1.0}
+        assert collapsed.keys() == {2}
+        assert collapsed[2].amps == {kept: 1.0}
 
     def test_position_mismatch_rejected(self):
         r = rm.paper_r(+1)
