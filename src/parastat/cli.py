@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -86,10 +87,9 @@ def _jsonable(obj):
 
 
 def _emit(args, payload: dict, rows=None) -> None:
-    """Write the report as JSON (default) or CSV rows."""
-    fmt = getattr(args, "format", "json") or "json"
-    out = getattr(args, "out", None)
-    if fmt == "csv" and rows:
+    """Write the report as JSON (default) or, under --format csv, the CSV rows."""
+    out = args.out
+    if args.format == "csv":
         target = open(out, "w", newline="") if out else sys.stdout
         try:
             writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
@@ -173,7 +173,8 @@ def cmd_derive_r(args) -> int:
     if args.out_r:
         rmatrix.save_rmatrix(derived, args.out_r)
     _emit(args, payload)
-    return EXIT_OK if inv_match else EXIT_FAIL
+    ok = inv_match and all(check["passed"] for check in payload["checks"])
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_simulate(args) -> int:
@@ -218,11 +219,8 @@ def cmd_twist(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     r, inputs = _load_r(args)
-    cfg = game.GameConfig(
-        L=args.L, r=r, a=1, b=1, seed=args.seed,
-        noise_p=args.p, noise_d=args.noise_d, noise_l=args.noise_l,
-    )
-    curve = game.noise_experiment(cfg, args.trials, args.seed)
+    curve = game.noise_experiment(r, args.trials, args.seed, args.p,
+                                  args.noise_d, args.noise_l)
     payload = {"manifest": _manifest(args, inputs), "curve": curve}
     rows = [{"distance": pt["distance"], "success_rate": pt["success_rate"]}
             for pt in curve]
@@ -292,11 +290,10 @@ TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.
 NOISE_D_MAX = np.iinfo(np.int64).max - 1
-# Largest chain length, simulate --L and noise-sweep --L.  A game moves each
-# particle across the chain and logs every step: about 35 us and 0.8 KiB of
-# transcript per site.  --all-pairs plays the m^2 games one at a time and keeps
-# only their wins: simulate --builtin trivial8 --all-pairs peaks at 55 MB RSS
-# and takes 15 s at this bound.  noise-sweep only checks L and records it.
+# Largest simulate --L.  A game moves each particle across the chain and logs
+# every step: about 35 us and 0.8 KiB of transcript per site.  --all-pairs
+# plays the m^2 games one at a time and keeps only their wins: simulate
+# --builtin trivial8 --all-pairs peaks at 55 MB RSS and takes 15 s at this bound.
 CHAIN_L_MAX = 10_000
 # Largest noise-sweep --noise-l.  The sweep runs --trials trials at each of
 # the noise_l + 3 distances, in flat memory: about 1 ms per distance at the
@@ -318,12 +315,16 @@ def _int_at_least(low: int, at_most: float = float("inf")):
     return integer
 
 
-def _probability(text: str) -> float:
-    """argparse type: a number in [0, 1]."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+def _finite_in(low: float, high: float = math.inf):
+    """argparse type: a finite number in [low, high]."""
+    span = f"in [{low}, {high}]" if math.isfinite(high) else f">= {low}"
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"must be a finite number {span}, got {text}")
+        return value
+    return number
 
 
 def _add_r_source(p):
@@ -334,9 +335,11 @@ def _add_r_source(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="parastat")
     ap.add_argument("--seed", type=_int_at_least(0), default=0)
-    ap.add_argument("--tol", type=float, default=rmatrix.DEFAULT_TOL)
+    ap.add_argument("--tol", type=_finite_in(0), default=rmatrix.DEFAULT_TOL,
+                    help="check tolerance, a finite number >= 0")
     ap.add_argument("--out", help="write the report here instead of stdout")
-    ap.add_argument("--format", choices=("json", "csv"), default="json")
+    ap.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="csv writes noise-sweep's curve; no other subcommand has a table")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-r", help="run all algebraic checks on an R-matrix")
@@ -370,12 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-sweep", help="decode success vs corner standoff")
     _add_r_source(p)
-    p.add_argument("--p", type=_probability, default=0.2)
+    p.add_argument("--p", type=_finite_in(0, 1), default=0.2)
     p.add_argument("--trials", type=_int_at_least(1, at_most=NOISE_TRIALS_MAX), default=2000,
                    help=f"per distance, at most {NOISE_TRIALS_MAX}")
-    p.add_argument("--L", type=_int_at_least(2, at_most=CHAIN_L_MAX), default=20,
-                   help=f"chain length, at most {CHAIN_L_MAX}; only checked against "
-                        "6 * r0 (18) and recorded, the sweep does not read it")
     p.add_argument("--noise-d", type=_int_at_least(0, at_most=NOISE_D_MAX), default=1)
     p.add_argument("--noise-l", type=_int_at_least(0, at_most=NOISE_L_MAX), default=2,
                    help=f"at most {NOISE_L_MAX}")
@@ -397,6 +397,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.format == "csv" and args.command != "noise-sweep":
+            ap.error("--format csv needs a table, and only noise-sweep writes one")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

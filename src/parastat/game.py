@@ -43,18 +43,13 @@ class GameConfig:
     b: int
     seed: int = 0
     r0: int = 3
-    noise_p: float = 0.0
-    noise_d: int = 1
-    noise_l: int = 2
 
     def __post_init__(self):
-        if self.L < 6 * self.r0:
-            raise GameError("chain too short for the requested circle radius")
+        if self.L < max(2, 6 * self.r0):
+            raise GameError("chain too short: it needs two sites and 6 * r0 for the circles")
         m = self.r.m
         if not (1 <= self.a <= m and 1 <= self.b <= m):
             raise GameError(f"secret numbers must lie in 1..{m}")
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise GameError("noise rate must be a probability")
 
 
 @dataclass
@@ -215,17 +210,17 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     demonstrate referee soundness.
     """
     r = cfg.r
-    lat = pf.Lattice1D(cfg.L)
+    o, s = 1, cfg.L  # the corner sites
     tr = Transcript()
     rng = _rng(cfg.seed, 0x6A6D)
     state = pf.vacuum(r)
 
-    state = pf.create(state, _pos(lat.o), cfg.a, "front")
-    tr.log("create", site=lat.o, end="front")
-    state = pf.create(state, _pos(lat.s), cfg.b, "back")
-    tr.log("create", site=lat.s, end="back")
+    state = pf.create(state, _pos(o), cfg.a, "front")
+    tr.log("create", site=o, end="front")
+    state = pf.create(state, _pos(s), cfg.b, "back")
+    tr.log("create", site=s, end="back")
 
-    site_a, site_b = lat.o, lat.s  # commanded sites
+    site_a, site_b = o, s  # commanded sites
     moves = 0
     checks_ok = True
 
@@ -245,10 +240,10 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
             referee_check()
 
     injected = False
-    while site_a < lat.s or site_b > lat.o:
+    while site_a < s or site_b > o:
         if inject_stray and not injected and site_b - site_a <= cfg.L // 2:
             # a stray excitation well outside both circles
-            stray_site = lat.s + cfg.r0 + 2
+            stray_site = s + cfg.r0 + 2
             state = pf.create(state, _pos(stray_site), 1, "back")
             tr.log("inject-stray", site=stray_site)
             injected = True
@@ -260,10 +255,10 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
             step(_pos(site_a, lane=True), _pos(site_a + 1))
             site_a = site_a + 1
         else:
-            if site_a < lat.s and site_a + 1 != site_b:
+            if site_a < s and site_a + 1 != site_b:
                 step(_pos(site_a), _pos(site_a + 1))
                 site_a += 1
-            if site_b > lat.o and site_b - 1 != site_a:
+            if site_b > o and site_b - 1 != site_a:
                 step(_pos(site_b), _pos(site_b - 1))
                 site_b -= 1
     referee_check()
@@ -275,10 +270,10 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
         return tr, report
 
     # Alice measures at the far corner (back), Bob at the near one (front)
-    dist_back, collapsed_back = pf.measure_corner(state, "back", pos=_pos(lat.s))
+    dist_back, collapsed_back = pf.measure_corner(state, "back", pos=_pos(s))
     a_prime = _sample(dist_back, rng)
     state = collapsed_back[a_prime]
-    dist_front, collapsed_front = pf.measure_corner(state, "front", pos=_pos(lat.o))
+    dist_front, collapsed_front = pf.measure_corner(state, "front", pos=_pos(o))
     b_prime = _sample(dist_front, rng)
     state = collapsed_front[b_prime]
     tr.log("measure", corner="s", outcome=a_prime)
@@ -289,8 +284,8 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     alice_guess, bob_guess = _guesses(hits, r.m, rng).tolist()
     tr.alice_guess, tr.bob_guess = alice_guess, bob_guess
 
-    state = pf.annihilate(state, _pos(lat.s), a_prime, "back")
-    state = pf.annihilate(state, _pos(lat.o), b_prime, "front")
+    state = pf.annihilate(state, _pos(s), a_prime, "back")
+    state = pf.annihilate(state, _pos(o), b_prime, "front")
     tr.log("annihilate", corner="s")
     tr.log("annihilate", corner="o")
     vacuum_ok = set(state.amps) == {()} and abs(abs(state.amps[()]) - 1.0) < 1e-10
@@ -324,6 +319,17 @@ def run_all_pairs(base: GameConfig):
 # fast trial sweeps (exchange outcome only; transport validated separately)
 
 
+def _wins(r: RMatrix, a: np.ndarray, b: np.ndarray, probs: np.ndarray, rng) -> int:
+    """Trials won.  Trial t has secrets a[t], b[t] (0-based) and draws its
+    outcome b' * m + a' from row t of probs; it is won when both players
+    name the partner's secret."""
+    m = r.m
+    bp, ap = np.divmod(_draw(probs, rng), m)
+    alice, bob = _decode_tables(r)
+    ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
+    return int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
+
+
 def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     """Empirical success rate of the full decode task over random (a, b).
 
@@ -334,10 +340,7 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     rng = _rng(seed, 1)
     a = rng.integers(m, size=trials)
     b = rng.integers(m, size=trials)
-    bp, ap = np.divmod(_draw(_outcome_probs(r)[a * m + b], rng), m)
-    alice, bob = _decode_tables(r)
-    ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
-    return int(np.count_nonzero((ga == b + 1) & (gb == a + 1))) / trials
+    return _wins(r, a, b, _outcome_probs(r)[a * m + b], rng) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -394,39 +397,46 @@ def _twist_support(twist_dist):
         probs = np.array([twist_dist[n] for n in ns], dtype=float)
     else:
         ns = sorted(set(int(n) for n in twist_dist))
-        probs = np.full(len(ns), 1.0 / len(ns))
-    probs = probs / probs.sum()
-    return ns, probs
+        probs = np.full(len(ns), 1.0 / max(len(ns), 1))  # an empty support is rejected below
+    if not ns or ns[0] < 0:
+        raise GameError("twist support must be a nonempty set of n >= 0")
+    total = probs.sum()
+    if not (np.all(probs >= 0) and 0 < total < np.inf):
+        raise GameError("twist weights must be finite, nonnegative and not all zero")
+    return ns, probs / total
 
 
 # ---------------------------------------------------------------------------
 # noise
 
 
-def noise_experiment(cfg: GameConfig, trials: int, seed: int) -> list:
+def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
+                     noise_d: int = 1, noise_l: int = 2) -> list:
     """Decode success vs the particle-corner distance held during exposure.
 
     Distances run 0..noise_l + 2.  Each trial parks the particles at a
     distance from their corners for NOISE_EXPOSURE steps with the noise
     channel active, then completes the protocol noise-free.  A noise event
-    (rate noise_p per particle and step) picks a site uniformly within
+    (rate p per particle and step) picks a site uniformly within
     noise_d of a particle.  It applies a Haar unitary to the internal label
     only when it lands on the particle's own site while that particle sits
     within noise_l of a corner (elsewhere the label is topologically shielded
     from local operations).  So an exposed label is scrambled with probability
-    q = 1 - (1 - noise_p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
+    q = 1 - (1 - p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
     unitaries is Haar and takes a fixed state to a uniform unit vector of C^m,
     so a scrambled label is drawn as one normalized complex Gaussian vector:
     exact in distribution.
     """
-    r = cfg.r
+    if not 0.0 <= p <= 1.0:
+        raise GameError("noise rate must be a probability")
+    if noise_d < 0 or noise_l < 0:
+        raise GameError("noise range and shielding distance must be >= 0")
     m = r.m
     mat = as_map(r).astype(np.complex128)
-    alice, bob = _decode_tables(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
-    q = 1.0 - (1.0 - cfg.noise_p / (2 * cfg.noise_d + 1)) ** NOISE_EXPOSURE
+    q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
     results = []
-    for dist in range(cfg.noise_l + 3):
+    for dist in range(noise_l + 3):
         rng = _rng(seed, 3, dist)
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
@@ -434,15 +444,13 @@ def noise_experiment(cfg: GameConfig, trials: int, seed: int) -> list:
         labels = np.zeros((2, trials, m), dtype=np.complex128)
         labels[0, np.arange(trials), a] = 1.0
         labels[1, np.arange(trials), b] = 1.0
-        if dist <= cfg.noise_l:
+        if dist <= noise_l:
             scrambled = rng.random((2, trials)) < q
             z = rng.standard_normal((2, np.count_nonzero(scrambled), m))
             z = z[0] + 1j * z[1]
             labels[scrambled] = z / np.linalg.norm(z, axis=1, keepdims=True)
         psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
-        bp, ap = np.divmod(_draw(np.abs(psi @ mat.T) ** 2, rng), m)
-        ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
-        wins = int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
+        wins = _wins(r, a, b, np.abs(psi @ mat.T) ** 2, rng)
         results.append({"distance": dist, "success_rate": wins / trials})
     return results
 
@@ -461,7 +469,8 @@ def eavesdrop_check(r: RMatrix, windows, L: int = 20) -> float:
     for every R (trivial ones included): it checks that the Fock layer's
     window observables are label-blind, not a property of the paper's R.
     """
-    lat = pf.Lattice1D(L)
+    if L < 2:
+        raise GameError("need at least two sites")
     m = r.m
     mid_lo, mid_hi = 2 * (L // 2 - 1), 2 * (L // 2 + 1)
     per_pair = {}

@@ -39,25 +39,6 @@ class FockError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Lattice1D:
-    """Site chain 1..L with the two designated corner sites o=1, s=L."""
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < 2:
-            raise FockError("need at least two sites")
-
-    @property
-    def o(self) -> int:
-        return 1
-
-    @property
-    def s(self) -> int:
-        return self.L
-
-
 @dataclass
 class StateVector:
     """Sparse superposition over normal-form configurations."""

@@ -143,6 +143,14 @@ class TestDeriveR:
         assert code == 1
         assert "no parastatistical" in payload["error"]
 
+    @pytest.mark.parametrize("tol", ("1e-9", "0"))
+    def test_exit_code_follows_every_check(self, capsys, tol):
+        # at --tol 0 the derived R's float residuals (about 1e-14) fail
+        code, payload, _ = run_json(capsys, "--tol", tol, "derive-r")
+        ok = all(c["passed"] for c in payload["checks"]) and payload["invariants_match_builtin"]
+        assert code == (0 if ok else 1)
+        assert ok == (tol != "0")
+
 
 class TestSimulate:
     def test_single_game(self, capsys):
@@ -202,6 +210,18 @@ class TestNoiseSweep:
         assert [r["distance"] for r in rows] == ["0", "1", "2", "3", "4"]
         assert all(0.0 <= float(r["success_rate"]) <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize("argv", (
+        ("verify-r", "--builtin", "paper3d"),
+        ("derive-r",),
+        ("simulate", "--builtin", "paper3d"),
+        ("twist", "--builtin", "paper3d"),
+        ("gauge-check",),
+    ))
+    def test_csv_without_a_table_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "--format", "csv", *argv)
+        assert code == 2 and out == ""
+        assert "noise-sweep" in err.splitlines()[-1]
+
 
 @pytest.mark.parametrize("argv", [
     ("twist", "--builtin", "paper3d", "--n-max", "-1"),
@@ -218,13 +238,18 @@ class TestNoiseSweep:
     ("derive-r", "--order-bound", str(cli.ORDER_BOUND_MAX + 1)),
     ("noise-sweep", "--builtin", "paper3d", "--noise-d", str(2 ** 63)),
     ("simulate", "--builtin", "paper3d", "--L", str(cli.CHAIN_L_MAX + 1)),
-    ("noise-sweep", "--builtin", "paper3d", "--L", str(cli.CHAIN_L_MAX + 1)),
+    ("noise-sweep", "--builtin", "paper3d", "--L", "20"),  # the sweep has no chain
     ("noise-sweep", "--builtin", "paper3d", "--noise-l", str(cli.NOISE_L_MAX + 1)),
+    # --tol is checked as it is parsed, before the missing subcommand
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "-1"),
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert argv[-2] in err and "Traceback" not in err
+    # the error line itself names the flag, not just the usage line above it
+    assert argv[-2] in err.splitlines()[-1] and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,7 +415,8 @@ PATH = st.sampled_from([str(TESTS_DIR / n) for n in
 R_SOURCE = [("--builtin", st.sampled_from(("paper2d", "paper3d", "trivial2", "trivial9",
                                            "braid-fixture", "nope", ""))),
             ("--input", PATH)]
-GLOBAL_FLAGS = [("--seed", NUMBER), ("--tol", st.sampled_from(("1e-9", "0", "-1", "nan", "x"))),
+GLOBAL_FLAGS = [("--seed", NUMBER),
+                ("--tol", st.sampled_from(("1e-9", "0", "-1", "nan", "inf", "x"))),
                 ("--format", st.sampled_from(("json", "csv", "xml")))]
 SUBCOMMAND_FLAGS = {
     "verify-r": R_SOURCE,
@@ -399,7 +425,7 @@ SUBCOMMAND_FLAGS = {
                             ("--r0", SHORT), ("--all-pairs", None)],
     "twist": R_SOURCE + [("--n-max", NUMBER), ("--trials", BOUNDED)],
     "noise-sweep": R_SOURCE + [("--p", PROBABILITY), ("--trials", BOUNDED),
-                               ("--L", BOUNDED), ("--noise-d", NUMBER), ("--noise-l", BOUNDED)],
+                               ("--noise-d", NUMBER), ("--noise-l", BOUNDED)],
     "gauge-check": [("--group", st.sampled_from(("Z2", "S3", "D4", "A5", "z2", ""))),
                     ("--patch", st.sampled_from(("2x2", "ladder", "3x3", "")))],
 }

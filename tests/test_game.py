@@ -24,9 +24,16 @@ class TestConfig:
         with pytest.raises(gm.GameError, match="1..4"):
             gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=5)
 
+    def test_single_site_chain_rejected(self):
+        # r0 = 0 asks for no circle room, but the corners still need two sites
+        with pytest.raises(gm.GameError, match="too short"):
+            gm.GameConfig(L=1, r=rm.paper_r(+1), a=1, b=1, r0=0)
+        gm.GameConfig(L=2, r=rm.paper_r(+1), a=1, b=1, r0=0)
+
     def test_noise_rate_validated(self):
-        with pytest.raises(gm.GameError, match="probability"):
-            gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, noise_p=1.5)
+        for p in (1.5, -0.1, math.nan):
+            with pytest.raises(gm.GameError, match="probability"):
+                gm.noise_experiment(rm.paper_r(+1), trials=10, seed=0, p=p)
 
 
 class TestDecode:
@@ -234,35 +241,46 @@ class TestTwist:
         assert np.max(np.abs(out["rho_b_avg"] - eye)) < 1e-12
 
     def test_same_seed_reproduces_every_sweep(self):
-        noisy = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, noise_p=0.5)
         sweeps = {
             "guessing": lambda seed: gm.guessing_trials(
                 rm.trivial_r(4, +1), 300, seed=seed),
             "twist": lambda seed: gm.twist_experiment(
                 rm.braid_fixture(), [0, 1, 2], trials=300, seed=seed)["success_rate"],
-            "noise": lambda seed: gm.noise_experiment(noisy, trials=100, seed=seed),
+            "noise": lambda seed: gm.noise_experiment(
+                rm.paper_r(+1), trials=100, seed=seed, p=0.5),
         }
         for name, sweep in sweeps.items():
             assert sweep(5) == sweep(5), name
 
+    @pytest.mark.parametrize("twist_dist, match", (
+        ({-1: 1.0}, "n >= 0"),  # would read powers[-1], the largest power
+        ([-1, 0], "n >= 0"),
+        ({}, "nonempty"),  # would divide by zero
+        ([], "nonempty"),
+        ({0: 0.0, 1: 0.0}, "not all zero"),  # would give NaN probabilities
+        ({0: 1.5, 1: -0.5}, "nonnegative"),
+    ))
+    def test_bad_twist_distribution_rejected(self, twist_dist, match):
+        with pytest.raises(gm.GameError, match=match):
+            gm.twist_experiment(rm.paper_r(+1), twist_dist, trials=10, seed=0)
 
-def reference_noise_experiment(cfg, trials, seed):
+
+def reference_noise_experiment(r, trials, seed, p=0.0, noise_d=1, noise_l=2):
     """The per-event loop noise_experiment replaced: every noise event draws
     its offset, and each one on the particle's own site while exposed applies
     a Haar unitary (one QR) to that label."""
-    r = cfg.r
     m = r.m
     mat = rm.as_map(r).astype(np.complex128)
     alice, bob = gm._decode_tables(r)
     results = []
-    for dist in range(cfg.noise_l + 3):
+    for dist in range(noise_l + 3):
         rng = gm._rng(seed, 3, dist)
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
-        hit = rng.random((gm.NOISE_EXPOSURE, 2, trials)) < cfg.noise_p
-        offset = rng.integers(-cfg.noise_d, cfg.noise_d + 1,
+        hit = rng.random((gm.NOISE_EXPOSURE, 2, trials)) < p
+        offset = rng.integers(-noise_d, noise_d + 1,
                               size=(gm.NOISE_EXPOSURE, 2, trials))
-        applied = hit & (offset == 0) & (dist <= cfg.noise_l)
+        applied = hit & (offset == 0) & (dist <= noise_l)
         labels = np.zeros((2, trials, m), dtype=np.complex128)
         labels[0, np.arange(trials), a] = 1.0
         labels[1, np.arange(trials), b] = 1.0
@@ -288,9 +306,8 @@ def _haar(m, count, rng):
 
 class TestNoise:
     def test_protection_beyond_shielding_distance(self):
-        cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, seed=11,
-                            noise_p=0.8, noise_l=2)
-        results = gm.noise_experiment(cfg, trials=300, seed=11)
+        results = gm.noise_experiment(rm.paper_r(+1), trials=300, seed=11,
+                                      p=0.8, noise_l=2)
         by_dist = {row["distance"]: row["success_rate"] for row in results}
         assert set(by_dist) == {0, 1, 2, 3, 4}
         for d in (3, 4):
@@ -305,16 +322,13 @@ class TestNoise:
         for a in range(4):
             for b in range(4):
                 e[b, (a + b) % 4, a, b] = 1
-        cfg = gm.GameConfig(L=18, r=rm.RMatrix(e), a=1, b=1, noise_p=0.0)
-        results = gm.noise_experiment(cfg, trials=2000, seed=13)
+        results = gm.noise_experiment(rm.RMatrix(e), trials=2000, seed=13, p=0.0)
         se = np.sqrt(0.25 * 0.75 / 2000)
         for row in results:
             assert abs(row["success_rate"] - 0.25) < 4 * se
 
     def test_zero_rate_noise_is_harmless(self):
-        cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, seed=12,
-                            noise_p=0.0)
-        results = gm.noise_experiment(cfg, trials=50, seed=12)
+        results = gm.noise_experiment(rm.paper_r(+1), trials=50, seed=12, p=0.0)
         assert all(row["success_rate"] == 1.0 for row in results)
 
     # (p, d) = (0.2, 1) scrambles an exposed label with probability 0.42, the
@@ -322,15 +336,13 @@ class TestNoise:
     @pytest.mark.parametrize("name", ("paper3d", "trivial4"))
     @pytest.mark.parametrize("p, d, trials", ((0.2, 1, 500), (0.8, 0, 100), (1.0, 0, 100)))
     def test_rates_match_reference_loop(self, name, p, d, trials):
-        cfg = gm.GameConfig(L=18, r=rm.builtin_r(name), a=1, b=1, noise_p=p, noise_d=d)
+        r = rm.builtin_r(name)
         seeds = range(20)
         n = trials * len(seeds)
 
         def pooled(sweep):
-            wins = np.zeros(cfg.noise_l + 3)
-            for seed in seeds:
-                wins += [row["success_rate"] * trials for row in sweep(cfg, trials, seed)]
-            return wins / n
+            return np.mean([[row["success_rate"] for row in sweep(r, trials, seed, p=p, noise_d=d)]
+                            for seed in seeds], axis=0)
 
         new, ref = pooled(gm.noise_experiment), pooled(reference_noise_experiment)
         sigma = np.sqrt((new * (1 - new) + ref * (1 - ref)) / n)
@@ -340,10 +352,16 @@ class TestNoise:
     def test_widest_offset_range_never_hits(self):
         # p / (2d + 1) is about 5e-20 at the largest --noise-d, so q rounds
         # to 0 and no label is scrambled
-        cfg = gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, noise_p=1.0,
-                            noise_d=cli.NOISE_D_MAX)
-        results = gm.noise_experiment(cfg, trials=200, seed=3)
+        results = gm.noise_experiment(rm.paper_r(+1), trials=200, seed=3, p=1.0,
+                                      noise_d=cli.NOISE_D_MAX)
         assert [row["success_rate"] for row in results] == [1.0] * 5
+
+    @pytest.mark.parametrize("kwargs", ({"noise_d": -1}, {"noise_l": -3}))
+    def test_negative_range_or_shield_rejected(self, kwargs):
+        # noise_d = -1 would make q negative and read 1.0 at every distance;
+        # noise_l = -3 would return an empty curve
+        with pytest.raises(gm.GameError, match=">= 0"):
+            gm.noise_experiment(rm.paper_r(+1), trials=10, seed=0, p=0.9, **kwargs)
 
 
 class TestEavesdrop:
@@ -355,3 +373,7 @@ class TestEavesdrop:
     def test_windows_learn_nothing_2d(self):
         dev = gm.eavesdrop_check(rm.paper_r(-1), [[8, 9, 10, 11]], L=20)
         assert dev <= 1e-12
+
+    def test_single_site_chain_rejected(self):
+        with pytest.raises(gm.GameError, match="two sites"):
+            gm.eavesdrop_check(rm.paper_r(+1), [[1]], L=1)

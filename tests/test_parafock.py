@@ -640,12 +640,6 @@ class TestSerialization:
         with pytest.raises(pf.FockError, match="1..4"):
             pf.load_state(data, rm.paper_r(+1))
 
-    def test_lattice_validation(self):
-        lat = pf.Lattice1D(10)
-        assert (lat.o, lat.s) == (1, 10)
-        with pytest.raises(pf.FockError):
-            pf.Lattice1D(1)
-
 
 @settings(max_examples=40, deadline=None)
 @given(
