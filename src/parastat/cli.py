@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -89,22 +88,20 @@ def _jsonable(obj):
 def _emit(args, payload: dict, rows=None) -> None:
     """Write the report as JSON (default) or, under --format csv, the CSV rows."""
     out = args.out
-    if args.format == "csv":
+    try:
         target = open(out, "w", newline="") if out else sys.stdout
-        try:
+    except OSError as exc:
+        raise CliError(f"cannot write report: {exc}") from exc
+    try:
+        if args.format == "csv":
             writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-        finally:
-            if out:
-                target.close()
-    else:
-        text = json.dumps(_jsonable(payload), indent=1, sort_keys=True)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
         else:
-            print(text)
+            target.write(json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n")
+    finally:
+        if out:
+            target.close()
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,10 @@ def cmd_derive_r(args) -> int:
         "gauge_match_found": q is not None,
     })
     if args.out_r:
-        rmatrix.save_rmatrix(derived, args.out_r)
+        try:
+            rmatrix.save_rmatrix(derived, args.out_r)
+        except OSError as exc:
+            raise CliError(f"cannot write R-matrix: {exc}") from exc
     _emit(args, payload)
     ok = inv_match and all(check["passed"] for check in payload["checks"])
     return EXIT_OK if ok else EXIT_FAIL
@@ -179,11 +179,14 @@ def cmd_derive_r(args) -> int:
 
 def cmd_simulate(args) -> int:
     r, inputs = _load_r(args)
-    base = game.GameConfig(L=args.L, r=r, a=1, b=1, seed=args.seed, r0=args.r0)
+    try:
+        cfg = game.GameConfig(L=args.L, r=r, a=args.a, b=args.b, seed=args.seed, r0=args.r0)
+    except game.GameError as exc:
+        raise CliError(str(exc)) from exc
     payload = {"manifest": _manifest(args, inputs)}
     if args.all_pairs:
         table = {}
-        for _, report in game.run_all_pairs(base):
+        for _, report in game.run_all_pairs(cfg):
             table.update(report.success_table)
         wins = sum(table.values())
         payload.update({
@@ -194,7 +197,6 @@ def cmd_simulate(args) -> int:
         })
         _emit(args, payload)
         return EXIT_OK if wins == len(table) else EXIT_FAIL
-    cfg = replace(base, a=args.a, b=args.b)
     transcript, report = game.run_protocol(cfg)
     payload.update({
         "transcript": transcript.as_dict(),

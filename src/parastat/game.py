@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parafock as pf
-from .rmatrix import RMatrix, as_map
+from .rmatrix import RMatrix, _whole, as_map
 
 
 # The referee checks both windows after every CHECK_CADENCE-th move.
@@ -45,6 +45,8 @@ class GameConfig:
     r0: int = 3
 
     def __post_init__(self):
+        if self.r0 < 0:
+            raise GameError("window radius r0 must be >= 0")
         if self.L < max(2, 6 * self.r0):
             raise GameError("chain too short: it needs two sites and 6 * r0 for the circles")
         m = self.r.m
@@ -100,7 +102,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def _outcome_probs(r: RMatrix) -> np.ndarray:
     """Born-rule probabilities of one exchange, p[a*m + b, b'*m + a'] (0-based)."""
-    p = np.abs(as_map(r).astype(np.complex128)).T ** 2
+    p = np.abs(as_map(r)).T ** 2
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
         raise GameError("R-matrix columns not normalized (is it unitary?)")
     return p
@@ -348,13 +350,14 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
 
 
 def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
-    """Exchange repeated 2n+1 times with n drawn from twist_dist.
+    """Exchange repeated 2n+1 times, n drawn from twist_dist: a dict {n: weight}
+    or an iterable of n, drawn uniformly.  Each n is an integer >= 0.
 
     Bob measures his slot and infers Alice's number by maximum likelihood
     over the uniform prior on (a, n), without knowing n.  For involutive R
     the twists are invisible; for genuinely braiding R they scramble.
     """
-    mat = as_map(r).astype(np.complex128)
+    mat = as_map(r)
     m = r.m
     ns, probs = _twist_support(twist_dist)
 
@@ -392,11 +395,13 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
 
 
 def _twist_support(twist_dist):
+    try:  # a dict iterates over its keys, and twist_dist[2] finds a key 2.0
+        ns = sorted(set(_whole(n) for n in twist_dist))
+    except TypeError as exc:
+        raise GameError(f"twist support must hold integers n: {exc}") from exc
     if isinstance(twist_dist, dict):
-        ns = sorted(twist_dist)
         probs = np.array([twist_dist[n] for n in ns], dtype=float)
     else:
-        ns = sorted(set(int(n) for n in twist_dist))
         probs = np.full(len(ns), 1.0 / max(len(ns), 1))  # an empty support is rejected below
     if not ns or ns[0] < 0:
         raise GameError("twist support must be a nonempty set of n >= 0")
@@ -432,7 +437,7 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     if noise_d < 0 or noise_l < 0:
         raise GameError("noise range and shielding distance must be >= 0")
     m = r.m
-    mat = as_map(r).astype(np.complex128)
+    mat = as_map(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
     q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
     results = []

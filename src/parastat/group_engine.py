@@ -515,9 +515,10 @@ def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
     mat = pi.reshape(m * m, m * m)
     if np.max(np.abs(mat.conj().T @ mat - np.eye(m * m))) > 1e-8:
         raise GroupError("inconsistent intertwiner basis")
-    # snap exact-integer tensors back to integers so downstream checks are exact
+    # snap a near-integer tensor to integers, kept as complex entries, because
+    # game._decode_tables reads the nonzero pattern; + 0.0 turns -0.0 into 0.0
     if np.max(np.abs(mat.imag)) < 1e-10 and np.max(np.abs(mat.real - np.round(mat.real))) < 1e-10:
-        mat = np.round(mat.real).astype(np.int64)
+        mat = np.round(mat.real) + 0.0
     return from_map(mat, m)
 
 
@@ -547,8 +548,8 @@ def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     if r1.m != r2.m:
         raise ValueError("gauge_match requires equal m")
     m = r1.m
-    m1 = as_map(r1).astype(np.complex128)
-    m2 = as_map(r2).astype(np.complex128).reshape(m, m, m, m)
+    m1 = as_map(r1)
+    m2 = as_map(r2).reshape(m, m, m, m)
     turn = np.array([1, 1j, -1, -1j])  # turn[e] = i^e
     power = np.array([0, 2, 1, 3])  # the phases 1, -1, i, -i in search order, as e
     turned = turn[:, None, None] * m1

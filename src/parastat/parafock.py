@@ -203,7 +203,7 @@ def annihilate(state: StateVector, pos: int, label: int, end: str) -> StateVecto
     if any(pos not in positions for positions in groups):
         raise FockError(f"no particle at position {pos}")
     m, front = state.r.m, end == "front"
-    minv = np.linalg.inv(as_map(state.r).astype(np.complex128)).reshape(m, m, m, m)
+    minv = np.linalg.inv(as_map(state.r)).reshape(m, m, m, m)
 
     def schedule(positions):  # the run of slots that carries pos to the chosen end
         k = positions.index(pos)

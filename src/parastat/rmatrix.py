@@ -12,8 +12,9 @@ with the matrix of that map indexed row-major: row (b', a'), column (a, b).
 Under this convention the exchange matrix of a valid R squares to the
 identity and satisfies the braid relation R12 R23 R12 = R23 R12 R23.
 
-Tensors with entries in {0, +1, -1} are stored as integer arrays so that all
-checks on them are exact; general R-matrices use complex floats.
+Every R-matrix stores its entries as one read-only complex128 array.  Checks
+on integer-valued tensors, like the paper's {0, +1, -1} ones, stay exact:
+float64 sums and products of integers below 2^53 are exact.
 """
 
 from __future__ import annotations
@@ -52,19 +53,15 @@ class RMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = self.entries
+        e = np.array(self.entries, dtype=np.complex128)
         if e.ndim != 4 or len(set(e.shape)) != 1:
             raise RMatrixError(f"entries must be shape (m,m,m,m), got {e.shape}")
         e.setflags(write=False)
+        object.__setattr__(self, "entries", e)
 
     @property
     def m(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def is_exact(self) -> bool:
-        """True when stored as integers (checks on it are exact)."""
-        return np.issubdtype(self.entries.dtype, np.integer)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RMatrix) and np.array_equal(self.entries, other.entries)
@@ -94,8 +91,7 @@ def paper_r(sign: int) -> RMatrix:
     """The explicit m=4 R-matrix; sign -1 is the 2D model's, +1 the 3D model's."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = 4
-    entries = np.zeros((m, m, m, m), dtype=np.int64)
+    entries = np.zeros((4, 4, 4, 4))
     for (a, b), (bp, ap) in PAPER_TABLE.items():
         entries[bp - 1, ap - 1, a - 1, b - 1] = sign
     return RMatrix(entries)
@@ -107,7 +103,7 @@ def trivial_r(m: int, sign: int) -> RMatrix:
         raise ValueError("m must be >= 1")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    entries = np.zeros((m, m, m, m), dtype=np.int64)
+    entries = np.zeros((m, m, m, m))
     for a in range(m):
         for b in range(m):
             entries[b, a, a, b] = sign
@@ -144,7 +140,7 @@ def from_map(mat: np.ndarray, m: int) -> RMatrix:
     mat = np.asarray(mat)
     if mat.shape != (m * m, m * m):
         raise RMatrixError(f"expected shape {(m*m, m*m)}, got {mat.shape}")
-    return RMatrix(mat.reshape(m, m, m, m).copy())
+    return RMatrix(mat.reshape(m, m, m, m))
 
 
 def _report(name: str, residuals: np.ndarray, tol: float) -> CheckReport:
@@ -158,11 +154,11 @@ def check_yang_baxter(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """Braid relation on V^3 plus involutivity R^2 = 1."""
     m = r.m
     mat = as_map(r)
-    eye = np.eye(m, dtype=mat.dtype)
+    eye = np.eye(m)
     r12 = np.kron(mat, eye)
     r23 = np.kron(eye, mat)
     braid = r12 @ r23 @ r12 - r23 @ r12 @ r23
-    invol = mat @ mat - np.eye(m * m, dtype=mat.dtype)
+    invol = mat @ mat - np.eye(m * m)
     rep_b = _report("yang_baxter.braid", braid, tol)
     rep_i = _report("yang_baxter.involutive", invol, tol)
     worse = rep_b if rep_b.max_residual >= rep_i.max_residual else rep_i
@@ -173,7 +169,7 @@ def check_yang_baxter(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
 
 def check_unitary(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     mat = as_map(r)
-    return _report("unitary", mat.conj().T @ mat - np.eye(r.m * r.m, dtype=mat.dtype), tol)
+    return _report("unitary", mat.conj().T @ mat - np.eye(r.m * r.m), tol)
 
 
 def _groupings(r: RMatrix):
@@ -187,15 +183,10 @@ def _groupings(r: RMatrix):
 
 def check_perfect_tensor(r: RMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """Unitarity of every 2-vs-2 grouping of the four legs."""
-    m2 = r.m * r.m
-    worst = None
-    ok = True
-    eye = np.eye(m2, dtype=r.entries.dtype)
-    for name, mat in _groupings(r):
-        rep = _report(f"perfect_tensor{name}", mat.conj().T @ mat - eye, tol)
-        ok = ok and rep.passed
-        if worst is None or rep.max_residual > worst.max_residual:
-            worst = rep
+    reps = [_report(f"perfect_tensor{name}", mat.conj().T @ mat - np.eye(len(mat)), tol)
+            for name, mat in _groupings(r)]
+    worst = max(reps, key=lambda rep: rep.max_residual)  # the first, on a tie
+    ok = all(rep.passed for rep in reps)
     return CheckReport("perfect_tensor", ok, worst.max_residual, tol, worst.witness)
 
 
@@ -208,7 +199,7 @@ def is_trivial_product(
     tested via singular values with the relative threshold tol * sigma_1.
     """
     m = r.m
-    n = r.entries.transpose(1, 2, 0, 3).reshape(m * m, m * m).astype(np.complex128)
+    n = r.entries.transpose(1, 2, 0, 3).reshape(m * m, m * m)
     u, s, vh = np.linalg.svd(n)
     if s[0] == 0.0:
         return None
@@ -224,10 +215,10 @@ def spectral_invariants(r: RMatrix) -> dict:
 
     Unchanged under R -> (Q x Q) as_map(R) (Q x Q)^dagger for any unitary Q.
     """
-    mat = as_map(r).astype(np.complex128)
+    mat = as_map(r)
     eigs = np.linalg.eigvals(mat)
     order = np.lexsort((eigs.imag, eigs.real))
-    mid = r.entries.transpose(0, 3, 2, 1).reshape(r.m**2, r.m**2).astype(np.complex128)
+    mid = r.entries.transpose(0, 3, 2, 1).reshape(r.m**2, r.m**2)
     return {
         "trace": complex(np.trace(mat)),
         "eigenvalues": eigs[order],
@@ -246,10 +237,8 @@ def invariants_close(inv1: dict, inv2: dict, tol: float = 1e-8) -> bool:
 def save_rmatrix(r: RMatrix, path) -> None:
     """Write the sparse JSON form: 1-based [b', a', a, b, re, im] rows."""
     rows = []
-    e = r.entries
-    for (bp, ap, a, b), v in np.ndenumerate(e):
+    for (bp, ap, a, b), v in np.ndenumerate(r.entries):
         if v != 0:
-            v = complex(v)
             rows.append([bp + 1, ap + 1, a + 1, b + 1, v.real, v.imag])
     with open(path, "w") as fh:
         json.dump({"m": r.m, "entries": rows}, fh, indent=1)
@@ -304,8 +293,6 @@ def load_rmatrix(source) -> RMatrix:
         if not np.isfinite(value):
             raise RMatrixError(f"non-finite value: {row}")
         entries[bp - 1, ap - 1, a - 1, b - 1] = value
-    if np.allclose(entries.imag, 0.0) and np.all(np.isin(entries.real, (-1.0, 0.0, 1.0))):
-        entries = entries.real.astype(np.int64)
     return RMatrix(entries)
 
 

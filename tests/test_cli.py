@@ -47,6 +47,16 @@ class TestVerifyR:
         assert code == 1
         assert payload["nontrivial"] is False
 
+    def test_tol_zero_residuals_are_exact(self, capsys):
+        code, payload, _ = run_json(capsys, "--tol", "0", "verify-r", "--builtin", "paper3d")
+        assert code == 0
+        assert [c["max_residual"] for c in payload["checks"]] == [0.0, 0.0, 0.0]
+
+    def test_largest_trivial_is_product_form(self, capsys):
+        code, payload, _ = run_json(capsys, "verify-r", "--builtin", f"trivial{rm.MAX_M}")
+        assert code == 1 and payload["m"] == rm.MAX_M
+        assert payload["nontrivial"] is False
+
     def test_file_input_and_digest(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         rm.save_rmatrix(rm.paper_r(-1), path)
@@ -117,6 +127,19 @@ class TestManifest:
         assert payload["nontrivial"] is True
 
 
+@pytest.mark.parametrize("argv", (
+    ("--out", "{dir}", "verify-r", "--builtin", "paper3d"),
+    ("--out", "{dir}/missing/x.json", "verify-r", "--builtin", "paper3d"),
+    ("--format", "csv", "--out", "{dir}/missing/x.csv",
+     "noise-sweep", "--builtin", "paper3d", "--trials", "10"),
+    ("derive-r", "--out-r", "{dir}/missing/r.json"),
+))
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 class TestDeriveR:
     def test_bundled_run(self, capsys, tmp_path):
         out_r = tmp_path / "derived.json"
@@ -166,6 +189,18 @@ class TestSimulate:
                                     "--all-pairs", "--L", "18")
         assert code == 0
         assert payload["wins"] == 16 and payload["pairs"] == 16
+
+    @pytest.mark.parametrize("argv", (
+        ("--r0", "-1"),  # every referee window would be empty
+        ("--r0", "-1", "--all-pairs"),
+        ("--r0", "5"),  # the default L = 20 is below 6 * r0
+        ("--a", "9"),
+        ("--b", "0"),
+    ))
+    def test_bad_game_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", "--builtin", "paper3d", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_trivial_r_loses(self, capsys):
         code, payload, _ = run_json(capsys, "simulate", "--builtin", "trivial4",

@@ -30,6 +30,11 @@ class TestConfig:
             gm.GameConfig(L=1, r=rm.paper_r(+1), a=1, b=1, r0=0)
         gm.GameConfig(L=2, r=rm.paper_r(+1), a=1, b=1, r0=0)
 
+    def test_negative_window_radius_rejected(self):
+        # r0 = -1 would leave every referee window empty
+        with pytest.raises(gm.GameError, match="r0"):
+            gm.GameConfig(L=18, r=rm.paper_r(+1), a=1, b=1, r0=-1)
+
     def test_noise_rate_validated(self):
         for p in (1.5, -0.1, math.nan):
             with pytest.raises(gm.GameError, match="probability"):
@@ -259,10 +264,20 @@ class TestTwist:
         ([], "nonempty"),
         ({0: 0.0, 1: 0.0}, "not all zero"),  # would give NaN probabilities
         ({0: 1.5, 1: -0.5}, "nonnegative"),
+        ({0.5: 1.0}, "integers"),
+        ({"x": 1.0}, "integers"),
+        ([0.5, 1.7], "integers"),  # used to be truncated to n in {0, 1}
     ))
     def test_bad_twist_distribution_rejected(self, twist_dist, match):
         with pytest.raises(gm.GameError, match=match):
             gm.twist_experiment(rm.paper_r(+1), twist_dist, trials=10, seed=0)
+
+    def test_integer_valued_float_twist_accepted(self):
+        as_int = gm.twist_experiment(rm.braid_fixture(), {0: 0.5, 2: 0.5}, trials=50, seed=1)
+        as_float = gm.twist_experiment(rm.braid_fixture(), {0.0: 0.5, 2.0: 0.5},
+                                       trials=50, seed=1)
+        assert as_float["n_support"] == [0, 2]
+        assert as_float["success_rate"] == as_int["success_rate"]
 
 
 def reference_noise_experiment(r, trials, seed, p=0.0, noise_d=1, noise_l=2):

@@ -389,6 +389,17 @@ class TestIntertwiner:
         assert derived.m == 1
         assert np.allclose(derived.entries, 1.0)
 
+    def test_derived_entries_are_complex(self, small_groups, gamma_derived):
+        # the near-integer m = 1 tensor is snapped to an exact 1, still complex
+        G = small_groups["S3"]
+        reps = ge.irreps(G)
+        triv = next(r for r in reps if r.dim == 1 and np.allclose(r.character, 1))
+        sigma = next(r for r in reps if r.dim == 2)
+        snapped = ge.derive_r(sigma, triv, ge.solve_intertwiner(sigma, triv))
+        assert snapped.entries.dtype == np.complex128
+        assert np.array_equal(snapped.entries, np.ones((1, 1, 1, 1)))
+        assert gamma_derived[0].entries.dtype == np.complex128
+
 
 class TestDerivedR:
     def test_passes_all_checks(self, gamma_derived):

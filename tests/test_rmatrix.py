@@ -21,7 +21,7 @@ def compose_transpositions(r, n, word):
 class TestConstructors:
     def test_paper_r_entries(self):
         r = rm.paper_r(+1)
-        assert r.m == 4 and r.is_exact
+        assert r.m == 4 and r.entries.dtype == np.complex128
         # spot-check three table positions
         assert r.entries[3, 2, 0, 0] == 1  # (a,b)=(1,1) -> (b',a')=(4,3)
         assert r.entries[2, 2, 2, 2] == 1  # (3,3) -> (3,3)
@@ -42,6 +42,20 @@ class TestConstructors:
             for b in range(2):
                 swap[b * 2 + a, a * 2 + b] = 1
         assert np.array_equal(mat, swap)
+
+    @pytest.mark.parametrize("name", ["paper2d", "paper3d", "braid-fixture"]
+                             + [f"trivial{m}" for m in range(1, rm.MAX_M + 1)])
+    def test_builtin_entries_are_read_only_complex(self, name):
+        e = rm.builtin_r(name).entries
+        assert e.dtype == np.complex128 and not e.flags.writeable
+
+    def test_every_constructor_stores_complex(self):
+        ints = np.eye(4, dtype=np.int64)
+        assert rm.from_map(ints, 2).entries.dtype == np.complex128
+        assert rm.RMatrix(ints.reshape(2, 2, 2, 2)).entries.dtype == np.complex128
+        assert ints.flags.writeable  # the caller's array is copied, not frozen
+        loaded = rm.load_rmatrix({"m": 1, "entries": [[1, 1, 1, 1, -1, 0]]})
+        assert loaded.entries.dtype == np.complex128 and loaded.entries[0, 0, 0, 0] == -1
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -94,18 +108,22 @@ class TestChecks:
         rep = rm.check_yang_baxter(r, 1e-10)
         assert not rep.passed  # involutivity part fails
 
-    def test_exact_r_is_checked_in_integers(self, monkeypatch):
+    @pytest.mark.parametrize("name, perfect", (("paper2d", 0.0), ("paper3d", 0.0),
+                                               ("trivial4", 4.0)))  # product form
+    def test_integer_valued_r_checks_are_exact(self, monkeypatch, name, perfect):
+        # float64 sums and products of small integers are exact: every residual
+        # entry is an exact integer, so a check that holds leaves exactly 0.0
         residuals = []
         report = rm._report
         monkeypatch.setattr(
             rm, "_report", lambda name, res, tol: residuals.append(res) or report(name, res, tol))
-        r = rm.paper_r(+1)
-        assert r.is_exact
-        assert rm.check_yang_baxter(r, 0).passed
-        assert rm.check_unitary(r, 0).passed
-        assert rm.check_perfect_tensor(r, 0).passed
+        r = rm.builtin_r(name)
+        reports = [rm.check_yang_baxter(r, 0), rm.check_unitary(r, 0),
+                   rm.check_perfect_tensor(r, 0)]
+        assert [rep.max_residual for rep in reports] == [0.0, 0.0, perfect]
+        assert [rep.passed for rep in reports] == [True, True, perfect == 0.0]
         assert len(residuals) == 6  # braid, involutive, unitary, three groupings
-        assert all(np.issubdtype(res.dtype, np.integer) for res in residuals)
+        assert all(np.array_equal(res, np.round(res.real)) for res in residuals)
 
     def test_report_fields(self):
         rep = rm.check_unitary(rm.paper_r(+1), 0)
@@ -237,15 +255,28 @@ class TestSerialization:
         with pytest.raises(rm.RMatrixError, match="non-finite"):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, 1.0, value]]})
 
-    def test_integer_snap(self, tmp_path):
+    @pytest.mark.parametrize("name", ("paper2d", "paper3d", "braid-fixture", "gauged-paper3d"))
+    def test_roundtrip_is_identical(self, tmp_path, name):
+        if name == "gauged-paper3d":
+            z = np.random.default_rng(3).standard_normal((4, 8)).view(np.complex128)
+            q, _ = np.linalg.qr(z)
+            qq = np.kron(q, q)
+            r = rm.from_map(qq @ rm.as_map(rm.paper_r(+1)) @ qq.conj().T, 4)
+        else:
+            r = rm.builtin_r(name)
         path = tmp_path / "r.json"
-        rm.save_rmatrix(rm.paper_r(-1), path)
-        assert rm.load_rmatrix(path).is_exact
+        rm.save_rmatrix(r, path)
+        back = rm.load_rmatrix(path)
+        assert back.entries.dtype == np.complex128
+        assert np.array_equal(back.entries, r.entries)
 
-    def test_large_integer_value_not_snapped(self):
-        # 1e300 is integer-valued but no int64: it must stay a float entry
+    def test_large_integer_value_not_snapped(self, tmp_path):
+        # 1e300 is integer-valued but no int64: it loads and round-trips as is
         r = rm.load_rmatrix({"m": 1, "entries": [[1, 1, 1, 1, 1e300, 0.0]]})
-        assert not r.is_exact and r.entries[0, 0, 0, 0] == 1e300
+        assert r.entries[0, 0, 0, 0] == 1e300
+        path = tmp_path / "r.json"
+        rm.save_rmatrix(r, path)
+        assert np.array_equal(rm.load_rmatrix(path).entries, r.entries)
 
 
 def test_builtin_lookup():
