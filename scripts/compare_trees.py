@@ -7,11 +7,15 @@ directory per tree, with PYTHONPATH pointing at that tree's src/ (and
 perfbench/ for the API runs), so relative input paths, and the input
 digests that name them, agree.  The reports, the --out-r files and the exit
 codes must agree byte for byte once each report's "timestamp" line is
-dropped.  Prints one line per run and exits 1 if any run differs.
+dropped.  Prints one line per run and exits 1 if any run differs.  A run that
+differs but whose two outputs parse as JSON of the same structure (the same
+keys, lengths and exit code, numbers where the other has numbers) also gets
+the largest absolute difference between its numbers and where it occurs.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -22,8 +26,9 @@ from pathlib import Path
 SEEDS = range(10)
 BUILTINS = ("paper2d", "paper3d", "braid-fixture", "trivial4", "trivial8")
 API = {
-    "fock_suite.run(1..3)": "import fock_suite; print([fock_suite.run(s) for s in (1, 2, 3)])",
-    "gauge_ladder.run(4)": "import gauge_ladder; print(gauge_ladder.run(4))",
+    "fock_suite.run(1..3)": "import json, fock_suite; "
+                            "print(json.dumps([fock_suite.run(s) for s in (1, 2, 3)]))",
+    "gauge_ladder.run(4)": "import json, gauge_ladder; print(json.dumps(gauge_ladder.run(4)))",
 }
 TIMESTAMP = re.compile(rb'^ *"timestamp": "[^"]*",?\n', re.MULTILINE)
 
@@ -74,6 +79,49 @@ def outputs(tree: Path, work: Path):
     return result
 
 
+def documents(text: bytes):
+    """The JSON values, one after another, that make up text, or None."""
+    decoder, docs, text, at = json.JSONDecoder(), [], text.decode(), 0
+    try:
+        while text[at:].strip():
+            at += len(text[at:]) - len(text[at:].lstrip())
+            doc, at = decoder.raw_decode(text, at)
+            docs.append(doc)
+    except ValueError:  # not JSON (UnicodeDecodeError is a ValueError too)
+        return None
+    return docs
+
+
+def numeric_gap(a, b, where=""):
+    """(largest |a - b| over the numbers of a and b, its path), or None when
+    the two differ in structure."""
+    number = (int, float)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [numeric_gap(a[k], b[k], f"{where}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [numeric_gap(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif (isinstance(a, number) and isinstance(b, number)
+          and not isinstance(a, bool) and not isinstance(b, bool)):
+        return abs(a - b), where
+    else:
+        return (0.0, where) if a == b and type(a) is type(b) else None
+    if None in parts:
+        return None
+    return max(parts, key=lambda part: part[0], default=(0.0, where))
+
+
+def describe(old: bytes, new: bytes) -> str:
+    """'  (max |diff| ... at ...)' for a run whose outputs differ only in numbers."""
+    (exit_a, _, old), (exit_b, _, new) = old.partition(b"\n"), new.partition(b"\n")
+    a, b = documents(old), documents(new)
+    if exit_a != exit_b or a is None or b is None:
+        return ""
+    if len(a) == len(b) == 1:
+        a, b = a[0], b[0]
+    gap = numeric_gap(a, b)
+    return "" if gap is None else f"  (max |diff| {gap[0]:.3g} at {gap[1].lstrip('.') or 'top'})"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -84,7 +132,10 @@ def main(argv=None) -> int:
         old, new = outputs(old_tree, Path(a)), outputs(new_tree, Path(b))
     differ = [label for label in old if old[label] != new[label]]
     for label in old:
-        print(f"{'DIFF' if label in differ else 'same'}  {label}")
+        if label in differ:
+            print(f"DIFF  {label}{describe(old[label], new[label])}")
+        else:
+            print(f"same  {label}")
     print(f"{len(old) - len(differ)} of {len(old)} runs identical")
     return 1 if differ else 0
 

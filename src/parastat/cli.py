@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Z2, S3, D4, or gamma128 (gamma128 exits 1: its ground "
                         "state exceeds the configuration cap)")
     p.add_argument("--patch", choices=tuple(gauge_sim.PATCHES), default="2x2",
-                   help="2x2 (one plaquette) or ladder (two plaquettes; D4 exits 1: "
-                        "its ground state exceeds the configuration cap)")
+                   help="2x2 (one plaquette) or ladder (two plaquettes)")
     p.set_defaults(func=cmd_gauge_check)
 
     return ap

@@ -361,12 +361,16 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     m = r.m
     ns, probs = _twist_support(twist_dist)
 
-    # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot)
-    powers = [mat]
-    for _ in range(max(ns)):
-        powers.append(powers[-1] @ mat @ mat)
+    # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot);
+    # only the powers of n in the support are kept
+    powers, power, wanted = [], mat, set(ns)
+    for n in range(max(ns) + 1):
+        if n:
+            power = power @ mat @ mat
+        if n in wanted:
+            powers.append(power)
     # column a*m + b of M^(2n+1) is its image of |a> x |b>
-    states = np.stack([powers[n] for n in ns]).reshape(len(ns), m, m, m, m)
+    states = np.stack(powers).reshape(len(ns), m, m, m, m)
     states = states.transpose(3, 4, 0, 1, 2)
 
     # Bob's outcome likelihoods: p(k | a, b, n) marginalizing Alice's slot

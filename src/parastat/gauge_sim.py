@@ -15,6 +15,15 @@ code = sum_e digit_e |G|^(E-1-e) (so code order is tuple order), beside a
 complex128 array of amplitudes, with a support cap that limits groups to
 desk scale.  Operators act on all configurations at once and touch only the
 digits of the edges they read or change.
+
+Costs.  At a vertex with a non-loop edge the gauge action is free, so each
+configuration's orbit has a key (the member whose element on that edge is
+the identity) found with one table lookup per edge at the vertex: the
+vertex projector and <A_v> sort N keys for N configurations and write or
+read |G| members per orbit.  Only a vertex whose edges are all self-loops
+sums |G| shifted copies of the state.  The ground state solves each
+plaquette's closing edge from its other edges and so builds |G|^(E-P)
+configurations for E edges and P plaquettes.
 """
 
 from __future__ import annotations
@@ -145,7 +154,10 @@ class GaugeState:
         sample k in the k-th block of |G|^E codes.
         """
         keep = np.abs(coeffs) > PRUNE
-        codes, coeffs = codes[keep], coeffs[keep]
+        return self._capped(codes[keep], coeffs[keep])
+
+    def _capped(self, codes: np.ndarray, coeffs: np.ndarray) -> "GaugeState":
+        """Enforce the support cap, per sample, on codes that are already pruned."""
         if len(codes) > self.support_cap:
             largest = int(np.bincount(self._sample(codes)).max())
             if largest > self.support_cap:
@@ -160,6 +172,8 @@ class GaugeState:
 
     def _union(self, other: "GaugeState") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted union of both supports and each state's amplitudes on it."""
+        if np.array_equal(self.codes, other.codes):  # one support: nothing to merge
+            return self.codes, self.coeffs, other.coeffs
         keys = np.concatenate((self.codes, other.codes))
         keys.sort(kind="stable")  # two sorted runs: one merge
         keys = keys[_firsts(keys)]
@@ -284,36 +298,78 @@ def gauge_shift(G: FiniteGroup, lat: GaugeLattice, config: tuple, v: int, g: int
     return tuple(out)
 
 
-def _shifted_codes(state: GaugeState, v: int, g: np.ndarray) -> np.ndarray:
-    """codes[i, j]: the code of L_v^(g[i]) applied to configuration j.
-
-    Only the digits of edges at v change.  Each such edge gets a table of
-    code changes per (g, old element); on a self-loop at v the tail and head
-    rules compose to conjugation.
-    """
+def _code_shifts(state: GaugeState, v: int, g: np.ndarray):
+    """(e, shift) for each edge e at v: shift[i, h] is the change L_v^(g[i])
+    makes to a code whose edge e holds h.  On a self-loop at v the tail and
+    head rules compose to conjugation."""
     G, h = state.group, np.arange(state.group.order)
-    codes = np.repeat(state.codes[None, :], len(g), axis=0)
-    digits = state._digits()
     for e, (tail, head) in enumerate(state.lattice.edges):
         if v not in (tail, head):
             continue
         new = G.mult[h, G.inv[g][:, None]] if tail == v else h
         new = G.mult[g[:, None], new] if head == v else new
-        codes += np.take((new - h) * state._place[e], digits[e], axis=1)
-    return codes
+        yield e, (new - h) * state._place[e]
+
+
+def _shifted_codes(state: GaugeState, codes: np.ndarray, v: int, g: np.ndarray) -> np.ndarray:
+    """out[i, j]: the code of L_v^(g[i]) applied to configuration codes[j].
+    Only the digits of edges at v change."""
+    out = np.repeat(codes[None, :], len(g), axis=0)
+    digits = _Digits(codes, state._place, state.group.order)
+    for e, shift in _code_shifts(state, v, g):
+        out += np.take(shift, digits[e], axis=1)
+    return out
 
 
 def _gauge_sum(state: GaugeState, v: int, weights: np.ndarray) -> GaugeState:
     """sum_g weights[g] L_v^g |state>, over the g with a nonzero weight."""
     g = np.flatnonzero(weights)
-    codes = _shifted_codes(state, v, g)
+    codes = _shifted_codes(state, state.codes, v, g)
     return state._pruned(*_accumulate(codes.ravel(), (weights[g, None] * state.coeffs).ravel()))
 
 
+def _orbit_keys(state: GaugeState, v: int) -> np.ndarray | None:
+    """The code of each configuration's orbit representative under L_v, or
+    None when every edge at v is a self-loop (or none meets it).
+
+    L_v^g takes the element h on a non-loop edge e* at v to h g^-1 (tail)
+    or g h (head), so distinct g give distinct images: the action is free,
+    and each orbit has exactly one member whose e* element is the identity,
+    L_v^g* c with g* = c[e*] (tail) or c[e*]^-1 (head).  That costs one
+    table lookup per edge at v.
+    """
+    G, lat = state.group, state.lattice
+    free = next((e for e, ends in enumerate(lat.edges) if ends.count(v) == 1), None)
+    if free is None:
+        return None
+    shifts = dict(_code_shifts(state, v, np.arange(G.order)))
+    digits = state._digits()
+    old = {e: digits[e] for e in shifts}  # each edge's elements, decoded once
+    g = old[free] if lat.edges[free][0] == v else G.inv[old[free]]
+    keys = state.codes.copy()
+    for e, shift in shifts.items():  # shift[g*, old], read from the flat table
+        keys += shift.ravel().take(g * G.order + old[e])
+    return keys
+
+
 def vertex_projector(state: GaugeState, v: int) -> GaugeState:
-    """Group average of the gauge action at v (a projector)."""
+    """Group average of the gauge action at v (a projector).
+
+    Where the action is free (see _orbit_keys), every member of an orbit O
+    gets S_O / |G|, with S_O the sum of the state over O; otherwise the
+    |G| shifted copies of the state are summed.
+    """
     n = state.group.order
-    return _gauge_sum(state, v, np.full(n, 1.0 / n))
+    keys = _orbit_keys(state, v)
+    if keys is None:
+        return _gauge_sum(state, v, np.full(n, 1.0 / n))
+    keys, sums = _accumulate(keys, state.coeffs)
+    amps = sums / n
+    keep = np.abs(amps) > PRUNE
+    keys, amps = keys[keep], amps[keep]
+    members = _shifted_codes(state, keys, v, np.arange(n)).ravel()  # g-major
+    order = np.argsort(members)
+    return state._capped(members[order], amps[order % len(keys)])
 
 
 def plaquette_projector(state: GaugeState, p: int) -> GaugeState:
@@ -325,27 +381,41 @@ def plaquette_projector(state: GaugeState, p: int) -> GaugeState:
 def ground_state(G: FiniteGroup, lat: GaugeLattice, support_cap: int = 10 ** 6) -> GaugeState:
     """Uniform superposition over flat configurations.
 
-    Configurations grow one edge at a time (codes stay sorted), and a
-    plaquette's flatness filter runs as soon as its last edge is placed.
-    Gauge transformations permute flat configurations, so this state already
-    sits in the image of every vertex projector; the projector conditions
-    are re-verified in the test suite rather than assumed.
+    Configurations grow one edge at a time (codes stay sorted).  A
+    plaquette's last edge, its closing edge, is solved from its other edges
+    when the plaquette traverses it once and no earlier plaquette closes on
+    it; the rows built are then |G|^(E-P) for P solved plaquettes, which the
+    support cap bounds.  Any other plaquette is filtered as soon as its last
+    edge is placed.  Gauge transformations permute flat configurations, so
+    this state already sits in the image of every vertex projector; the
+    projector conditions are re-verified in the test suite rather than
+    assumed.
     """
-    total = G.order ** lat.n_edges
-    if total > support_cap:
-        raise GaugeError(
-            f"ground state would enumerate {total} configurations (cap {support_cap})"
-        )
-    state = GaugeState(G, lat, {}, support_cap)
     closing = {}
     for plaq in filter(None, lat.plaquettes):
         closing.setdefault(max(e for e, _ in plaq), []).append(plaq)
+    solved = {e: next((p for p in plaqs if [f for f, _ in p].count(e) == 1), None)
+              for e, plaqs in closing.items()}
+    rows = G.order ** (lat.n_edges - sum(p is not None for p in solved.values()))
+    if rows > support_cap:
+        raise GaugeError(
+            f"ground state would enumerate {rows} configurations (cap {support_cap})"
+        )
+    state = GaugeState(G, lat, {}, support_cap)
     codes = np.zeros(1, dtype=np.int64)
     for e in range(lat.n_edges):
-        codes = (codes[:, None] * G.order + np.arange(G.order)).ravel()
-        for plaq in closing.get(e, ()):
-            digits = _Digits(codes, G.order ** np.arange(e, -1, -1), G.order)
-            codes = codes[_holonomy(G, digits, plaq) == 0]
+        plaq = solved.get(e)
+        if plaq is None:
+            codes = (codes[:, None] * G.order + np.arange(G.order)).ravel()
+        else:  # K = after h~_e before = 1 gives h~_e = (before after)^-1
+            digits = _Digits(codes, G.order ** np.arange(e - 1, -1, -1), G.order)
+            j = [f for f, _ in plaq].index(e)
+            step = G.mult[_holonomy(G, digits, plaq[:j]), _holonomy(G, digits, plaq[j + 1:])]
+            codes = codes * G.order + (G.inv[step] if plaq[j][1] > 0 else step)
+        for other in closing.get(e, ()):
+            if other is not plaq:
+                digits = _Digits(codes, G.order ** np.arange(e, -1, -1), G.order)
+                codes = codes[_holonomy(G, digits, other) == 0]
     return state._like(codes, np.ones(len(codes), dtype=np.complex128)).normalized()
 
 
@@ -420,21 +490,21 @@ def _norm2(state: GaugeState) -> float:
 def vertex_expectations(state: GaugeState) -> list[float]:
     """<A_v> per vertex (1 on unexcited vertices, < 1 at string endpoints).
 
-    L_v^g maps a configuration c onto each member of its orbit O |Stab_c|
-    times, so <psi|A_v|psi> = sum_O |S_O|^2 |Stab_O| / |G| with S_O the sum
-    of psi over O.  Orbits are keyed by their smallest code; no projected
-    state is built.
+    Where L_v acts freely, <psi|A_v|psi> = sum_O |S_O|^2 / |G| with S_O the
+    sum of psi over the orbit O, read off the orbit keys of _orbit_keys: a
+    few table lookups per configuration and one sort of the keys, with no
+    projected state.  A vertex whose only edges are self-loops takes
+    <psi|A_v psi> from its projector, which sums |G| shifted copies.
     """
     nrm2 = _norm2(state)
-    n, codes, coeffs = state.group.order, state.codes, state.coeffs
     out = []
     for v in range(state.lattice.n_vertices):
-        shifted = _shifted_codes(state, v, np.arange(n))
-        keys, orbit = np.unique(shifted.min(axis=0), return_inverse=True)
-        stab = np.zeros(len(keys))
-        stab[orbit] = np.count_nonzero(shifted == codes, axis=0)
-        sums = np.bincount(orbit, coeffs.real) ** 2 + np.bincount(orbit, coeffs.imag) ** 2
-        out.append(float(np.sum(sums * stab) / n / nrm2))
+        keys = _orbit_keys(state, v)
+        if keys is None:
+            mass = state.dot(vertex_projector(state, v)).real
+        else:
+            mass = _mass(_accumulate(keys, state.coeffs)[1]) / state.group.order
+        out.append(float(mass / nrm2))
     return out
 
 

@@ -355,22 +355,35 @@ class TestGaugeCheck:
         assert vexc[0] < 1 - 1e-6 and vexc[2] < 1 - 1e-6
         assert all(abs(vexc[v] - 1) <= 1e-10 for v in (1, 3, 4, 5))
 
-    def test_ladder_cap(self, capsys):
-        # D4 on the ladder would enumerate 8^7 > 10^6 ground-state rows
-        code, out, err = run(capsys, "gauge-check", "--group", "D4", "--patch", "ladder")
+    def test_ladder_cap(self, capsys, monkeypatch):
+        # solving both closing edges builds 8^5 ground-state rows for D4 on
+        # the ladder, under the 10^6 cap; gamma128 would build 128^5
+        supports = []
+
+        def ground_state(*args, **kwargs):
+            g0 = solve(*args, **kwargs)
+            supports.append(len(g0.codes))
+            return g0
+
+        solve = cli.gauge_sim.ground_state
+        monkeypatch.setattr(cli.gauge_sim, "ground_state", ground_state)
+        code, payload, _ = run_json(capsys, "gauge-check", "--group", "D4", "--patch", "ladder")
+        assert code == 0 and payload["passed"] is True
+        assert supports == [8 ** 5]
+        code, out, err = run(capsys, "gauge-check", "--group", "gamma128", "--patch", "ladder")
         assert code == 1 and out == ""
-        assert "would enumerate 2097152 configurations (cap 1000000)" in err
+        assert "would enumerate 34359738368 configurations (cap 1000000)" in err
 
     def test_oversized_group_fails_before_projector_checks(self, capsys, monkeypatch):
-        # gamma128 on the 2x2 patch would enumerate 128^4 ground-state rows:
-        # the cap refuses it before any projector check runs
+        # gamma128 on the 2x2 patch would build 128^3 ground-state rows (one
+        # closing edge solved): the cap refuses it before any projector check runs
         def never(*args, **kwargs):
             raise AssertionError("commutator_residuals ran before the ground-state cap")
 
         monkeypatch.setattr(cli.gauge_sim, "commutator_residuals", never)
         code, out, err = run(capsys, "gauge-check", "--group", "gamma128")
         assert code == 1 and out == ""
-        assert "would enumerate 268435456 configurations (cap 1000000)" in err
+        assert "would enumerate 2097152 configurations (cap 1000000)" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -279,6 +279,21 @@ class TestTwist:
         assert as_float["n_support"] == [0, 2]
         assert as_float["success_rate"] == as_int["success_rate"]
 
+    def test_large_n_keeps_only_the_support_powers(self):
+        # the chain M^(2k+1), k = 0..n, is multiplied out, but only the powers
+        # of n in the support are kept: keeping all of them took about 4 KiB
+        # per k here, 80 MiB at n = 20000
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = gm.twist_experiment(rm.paper_r(+1), {20000: 1.0}, trials=10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+        assert out["n_support"] == [20000] and out["success_rate"] == 1.0
+
 
 def reference_noise_experiment(r, trials, seed, p=0.0, noise_d=1, noise_l=2):
     """The per-event loop noise_experiment replaced: every noise event draws

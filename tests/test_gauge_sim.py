@@ -546,6 +546,7 @@ class TestBatchEdges:
             return one._like(np.concatenate((one.codes, two.codes + block)),
                              np.concatenate((one.coeffs, two.coeffs)))
 
+        assert gs._orbit_keys(batch(6), 0) is not None  # v0 is free: the orbit path
         assert len(gs.vertex_projector(batch(6), 0).codes) == 12
         with pytest.raises(gs.GaugeError, match="support cap exceeded: 6"):
             gs.vertex_projector(batch(5), 0)
@@ -556,3 +557,110 @@ class TestBatchEdges:
         for amps in ({}, {(0, 0, 0, 0): 0.0}):
             with pytest.raises(gs.GaugeError, match="zero state"):
                 fn(gs.GaugeState(G, patch, amps))
+
+
+# ---------------------------------------------------------------------------
+# orbit-keyed vertex kernels, merge-free compares and solved closing edges
+
+
+def mixed():
+    """looped() plus vertex 3, which no edge meets: v0 and v1 act freely,
+    v2 (one self-loop) and v3 take the summed gauge action."""
+    lat = looped()
+    return gs.GaugeLattice(4, lat.edges, lat.plaquettes)
+
+
+def ref_expectation(G, lat, amps, v):
+    return (ref_dot(amps, ref_vertex_projector(G, lat, amps, v)) / ref_dot(amps, amps)).real
+
+
+class TestOrbitKernels:
+    @pytest.mark.parametrize("name", ("S3", "D4"))
+    def test_projector_and_expectations_match_reference(self, small_groups, monkeypatch, name):
+        G, lat = small_groups[name], mixed()
+        summed = []
+        gauge_sum = gs._gauge_sum
+        monkeypatch.setattr(gs, "_gauge_sum", lambda s, v, w: summed.append(v) or gauge_sum(s, v, w))
+        for seed in (50, 51):
+            amps = random_amps(G, lat, seed)
+            state = gs.GaugeState(G, lat, amps)
+            for v in range(lat.n_vertices):
+                summed.clear()
+                projected = gs.vertex_projector(state, v)
+                assert gap(projected, ref_vertex_projector(G, lat, amps, v)) <= 1e-12
+                assert summed == ([] if v < 2 else [v])
+                # projecting twice lands on one support: every orbit is complete
+                assert np.array_equal(gs.vertex_projector(projected, v).codes, projected.codes)
+            summed.clear()
+            got = gs.vertex_expectations(state)
+            assert summed == [2, 3]
+            want = [ref_expectation(G, lat, amps, v) for v in range(lat.n_vertices)]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", ("patch", "ladder"))
+    def test_orbit_keys_pick_the_identity_member(self, small_groups, shape):
+        # the key of every configuration is in its orbit and is the same for all members
+        G, lat = small_groups["S3"], LATTICES[shape]()
+        state = gs.GaugeState(G, lat, random_amps(G, lat, 52, n=20))
+        for v in range(lat.n_vertices):
+            keys = gs._orbit_keys(state, v)
+            for config, key in zip(state.amps, keys):
+                orbit = {gs.gauge_shift(G, lat, config, v, g) for g in range(G.order)}
+                members = gs.GaugeState(G, lat, dict.fromkeys(orbit, 1.0))
+                assert key in members.codes
+                assert set(gs._orbit_keys(members, v).tolist()) == {key}
+
+    def test_state_arithmetic_with_equal_and_unequal_supports(self, small_groups):
+        G, lat = small_groups["D4"], gs.patch_2x2()
+        a = random_amps(G, lat, 53)
+        rng = np.random.default_rng(54)
+        same = {k: complex(*rng.standard_normal(2)) for k in a}  # a's support, new amplitudes
+        other = random_amps(G, lat, 55)
+        other.update(list(same.items())[:10])
+        sa = gs.GaugeState(G, lat, a)
+        for b, merged in ((same, False), (other, True)):
+            sb = gs.GaugeState(G, lat, b)
+            assert (sa._union(sb)[0] is not sa.codes) == merged
+            assert abs(sa.dot(sb) - ref_dot(a, b)) <= 1e-12
+            assert abs(sa.distance(sb) - ref_distance(a, b)) <= 1e-12
+            assert gap(sa.axpy(sb, 0.5 - 2j), ref_axpy(a, b, 0.5 - 2j)) <= 1e-12
+        # a sum that cancels on the shared support is pruned to nothing
+        assert len(sa.axpy(sa, -1.0).codes) == 0
+
+
+def two_on_one_edge():
+    """Three parallel edges 0 -> 1; both plaquettes close on e2 (flat:
+    e0 = e2 = e1).  The first is solved, the second filtered."""
+    return gs.GaugeLattice(2, ((0, 1), (0, 1), (0, 1)),
+                           (((0, +1), (2, -1)), ((1, +1), (2, -1))))
+
+
+def twice_on_closing_edge():
+    """Self-loops e0, e1 at v0 and the cycle e1 e0 e1^-1, which traverses its
+    closing edge e1 twice (flat: e0 trivial), so it is filtered; the digon
+    e2, e3 on 0 -> 1 is solved."""
+    return gs.GaugeLattice(2, ((0, 0), (0, 0), (0, 1), (0, 1)),
+                           (((1, +1), (0, +1), (1, -1)), ((2, +1), (3, -1))))
+
+
+class TestSolvedGroundState:
+    @pytest.mark.parametrize("name", ("Z2", "S3", "D4"))
+    @pytest.mark.parametrize("shape, solved", ((two_on_one_edge, 1), (twice_on_closing_edge, 1)))
+    def test_matches_reference(self, small_groups, name, shape, solved):
+        G, lat = small_groups[name], shape()
+        want = ref_ground_state(G, lat)
+        g0 = gs.ground_state(G, lat)
+        assert gap(g0, want) <= 1e-12 and len(g0.codes) == len(want)
+        rows = G.order ** (lat.n_edges - solved)
+        gs.ground_state(G, lat, support_cap=rows)
+        with pytest.raises(gs.GaugeError, match=f"would enumerate {rows} configurations"):
+            gs.ground_state(G, lat, support_cap=rows - 1)
+
+    def test_rows_built_on_the_patches(self, small_groups):
+        # |G|^(E-P): one closing edge solved on the patch, two on the ladder
+        G = small_groups["D4"]
+        for lat in (gs.patch_2x2(), gs.ladder_2x3()):
+            rows = G.order ** (lat.n_edges - len(lat.plaquettes))
+            assert len(gs.ground_state(G, lat, support_cap=rows).codes) == rows
+            with pytest.raises(gs.GaugeError, match=f"would enumerate {rows} "):
+                gs.ground_state(G, lat, support_cap=rows - 1)
