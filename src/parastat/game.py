@@ -108,14 +108,6 @@ def _outcome_probs(r: RMatrix) -> np.ndarray:
     return p
 
 
-def outcome_distribution(r: RMatrix, a: int, b: int) -> dict:
-    """Born-rule distribution over measured (a', b') after one exchange."""
-    m = r.m
-    row = _outcome_probs(r)[(a - 1) * m + b - 1]
-    support = np.flatnonzero(row > 0).tolist()
-    return {(k % m + 1, k // m + 1): float(row[k]) for k in support}
-
-
 def _decode_tables(r: RMatrix) -> np.ndarray:
     """Alice's and Bob's decode maps, tables[0][a, a'] and tables[1][b, b'] (0-based).
 
@@ -138,14 +130,14 @@ def decode(r: RMatrix, who: str, own: int, observed: int) -> tuple[int, int]:
     """Recover the partner's (number, observation) from one's own pair.
 
     Alice holds (a, a') and looks up the unique (b, b') with a nonzero entry
-    at (b', a', a, b); Bob symmetrically.
+    at (b', a', a, b); Bob symmetrically.  GameError if R is not deterministic.
     """
     players = ("Alice", "Bob")
     if who not in players:
         raise GameError("who must be Alice or Bob")
     hit = int(_decode_tables(r)[players.index(who), own - 1, observed - 1])
     if hit == -2:
-        raise GameError("use outcome_distribution instead")
+        raise GameError("R not deterministic: an exchange has more than one outcome")
     if hit < 0:
         raise GameError("R not perfect")
     return hit // r.m + 1, hit % r.m + 1
@@ -338,6 +330,8 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     Uses the exchange outcome distribution directly instead of lattice
     transport, which run_protocol has already validated to be equivalent.
     """
+    if trials < 1:
+        raise GameError("trials must be >= 1")
     m = r.m
     rng = _rng(seed, 1)
     a = rng.integers(m, size=trials)
@@ -357,6 +351,8 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     over the uniform prior on (a, n), without knowing n.  For involutive R
     the twists are invisible; for genuinely braiding R they scramble.
     """
+    if trials < 1:
+        raise GameError("trials must be >= 1")
     mat = as_map(r)
     m = r.m
     ns, probs = _twist_support(twist_dist)
@@ -440,6 +436,8 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         raise GameError("noise rate must be a probability")
     if noise_d < 0 or noise_l < 0:
         raise GameError("noise range and shielding distance must be >= 0")
+    if trials < 1:
+        raise GameError("trials must be >= 1")
     m = r.m
     mat = as_map(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow

@@ -439,12 +439,6 @@ def apply_wilson_line(state: GaugeState, w: WilsonLine, a: int, b: int) -> Gauge
     return state._pruned(state.codes, state.coeffs * factors)
 
 
-def apply_wilson_loop(state: GaugeState, w: WilsonLine) -> GaugeState:
-    """Closed string operator: the trace over the open indices."""
-    traces = np.trace(w.psi.matrices, axis1=1, axis2=2)
-    return state._pruned(state.codes, state.coeffs * traces[_path_product(state, w.path)])
-
-
 def verify_deformation(g0: GaugeState, w1: WilsonLine, w2: WilsonLine,
                        a: int, b: int) -> float:
     """Norm difference of two homotopic Wilson lines applied to a flat state."""

@@ -56,7 +56,8 @@ class GroupPresentation:
     derived_supplementary: bool = False
 
     def __post_init__(self):
-        names = set(self.generators)
+        if len(names := set(self.generators)) != len(self.generators):
+            raise GroupError(f"duplicate generator names in {list(self.generators)}")
         for rel in self.relations:
             for tok in rel:
                 base = tok[:-3] if tok.endswith("^-1") else tok
@@ -66,23 +67,20 @@ class GroupPresentation:
 
 def presentation_from_dict(data: dict) -> GroupPresentation:
     try:
-        gens = tuple(data["generators"])
-        rels = tuple(tuple(rel) for rel in data["relations"])
+        gens, rels = data["generators"], data["relations"]
         supplementary = bool(data.get("derived_supplementary", False))
+        if not all(isinstance(w, list) for w in [gens, rels, *rels]):
+            raise TypeError("generators, relations and each relator must be JSON arrays")
     except (KeyError, TypeError, AttributeError) as exc:
         raise GroupError(f"malformed presentation: {exc!r}") from exc
-    if not all(isinstance(tok, str) for word in (gens,) + rels for tok in word):
+    if not all(isinstance(tok, str) for word in [gens, *rels] for tok in word):
         raise GroupError("generator names and relator tokens must be strings")
-    return GroupPresentation(gens, rels, supplementary)
+    return GroupPresentation(tuple(gens), tuple(map(tuple, rels)), supplementary)
 
 
-def load_presentation(source) -> GroupPresentation:
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
-    return presentation_from_dict(data)
+def load_presentation(path) -> GroupPresentation:
+    with open(path) as fh:
+        return presentation_from_dict(json.load(fh))
 
 
 def z2_presentation() -> GroupPresentation:

@@ -251,7 +251,7 @@ def measure_corner(state: StateVector, end: str, pos: int | None = None):
     """Projective label measurement of the front or back particle.
 
     Returns (distribution over labels, {label: collapsed normalized state}).
-    Amplitudes of modulus <= PRUNE are skipped, as load_state drops them.
+    Amplitudes of modulus <= PRUNE are skipped, so no collapsed state has norm 0.
     """
     if end not in ("front", "back"):
         raise FockError(f"end must be front or back, got {end!r}")
@@ -276,25 +276,6 @@ def measure_corner(state: StateVector, end: str, pos: int | None = None):
         nrm = np.sqrt(sum(abs(v) ** 2 for v in amps.values()))
         collapsed[lab] = StateVector(state.r, {k: v / nrm for k, v in amps.items()})
     return dist, collapsed
-
-
-def local_expectation(state: StateVector, window, kind: str = "number",
-                      label: int | None = None) -> complex:
-    """<state| O_W |state> for an occupation observable on the site window W.
-
-    kind="number" counts particles in W regardless of label; kind="label"
-    counts only particles carrying the given label.  Diagonal in the
-    normal-form basis, so this is a weighted count over configurations.
-    """
-    window = set(window)
-    total = 0.0
-    for cfg, c in state.amps.items():
-        count = sum(
-            1 for p, l in cfg
-            if p in window and (kind == "number" or l == label)
-        )
-        total += count * abs(c) ** 2
-    return total
 
 
 def window_occupation_distribution(state: StateVector, window) -> dict:
@@ -322,30 +303,3 @@ def single_particle_spectrum(L: int, J: float, mu, r: RMatrix) -> np.ndarray:
     h = np.diag(-mu) + np.diag([-J] * (L - 1), 1) + np.diag([-J] * (L - 1), -1)
     full = np.kron(h, np.eye(r.m))
     return np.linalg.eigvalsh(full)
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def dump_state(state: StateVector) -> list:
-    out = []
-    for cfg, c in sorted(state.amps.items()):
-        out.append({
-            "positions": [p for p, _ in cfg],
-            "labels": [l for _, l in cfg],
-            "re": complex(c).real,
-            "im": complex(c).imag,
-        })
-    return out
-
-
-def load_state(data: list, r: RMatrix) -> StateVector:
-    """Inverse of dump_state.  Like every operation here, it drops amplitudes
-    of magnitude <= PRUNE, so no stored configuration has weight zero."""
-    amps: dict[Config, complex] = {}
-    for term in data:
-        cfg = _config(zip(term["positions"], term["labels"]), r.m)
-        if any(p >= q for (p, _), (q, _) in zip(cfg, cfg[1:])):
-            raise FockError("state dump not in normal form")
-        amps[cfg] = complex(term["re"], term["im"])
-    return StateVector(r, {cfg: c for cfg, c in amps.items() if abs(c) > PRUNE})

@@ -262,8 +262,6 @@ def load_rmatrix(source) -> RMatrix:
     """
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
     else:
         with open(source) as fh:
             data = json.load(fh)
@@ -280,7 +278,9 @@ def load_rmatrix(source) -> RMatrix:
         try:
             bp, ap, a, b, re, im = row
             bp, ap, a, b = (_whole(i) for i in (bp, ap, a, b))
-            value = complex(float(re), float(im))
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+                raise TypeError(f"not a number: {re!r} or {im!r}")
+            value = complex(re, im)
         except (TypeError, ValueError, OverflowError) as exc:
             raise RMatrixError(f"malformed entry row {row!r}: {exc}") from exc
         for i in (bp, ap, a, b):

@@ -447,6 +447,20 @@ def test_unusable_presentation_exits_cleanly(capsys, name):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, error", (
+    ({"generators": "ab", "relations": ["aaa", "bb", "abab"]}, "JSON arrays"),
+    ({"generators": ["a", "b"], "relations": "aabb"}, "JSON arrays"),
+    ({"generators": ["a", "b"], "relations": ["aaa", "bb", "abab"]}, "JSON arrays"),
+    ({"generators": ["a", "a"], "relations": [["a", "a"]]}, "duplicate generator"),
+))
+def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "derive-r", "--presentation", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and error in err and "Traceback" not in err
+
+
 # argv fuzzing: every subcommand with odd, huge, out-of-range or missing values
 TESTS_DIR = Path(__file__).parent
 SMALL = st.integers(-3, 40).map(str)

@@ -40,14 +40,24 @@ class TestConfig:
             with pytest.raises(gm.GameError, match="probability"):
                 gm.noise_experiment(rm.paper_r(+1), trials=10, seed=0, p=p)
 
+    @pytest.mark.parametrize("sweep", ("guessing", "twist", "noise"))
+    def test_trials_below_one_rejected(self, sweep):
+        r = rm.paper_r(+1)
+        run = {"guessing": lambda t: gm.guessing_trials(r, t, seed=0),
+               "twist": lambda t: gm.twist_experiment(r, [0, 1], t, seed=0),
+               "noise": lambda t: gm.noise_experiment(r, t, seed=0)}[sweep]
+        for trials in (0, -1):
+            with pytest.raises(gm.GameError, match="trials must be >= 1"):
+                run(trials)
+
 
 class TestDecode:
     def test_worked_example(self):
         # secrets (a,b) = (2,4): the exchange sends |2>|4> -> |1>|3>, so
         # Alice reads a'=3 at the far corner, Bob b'=1 at the near one
         r = rm.paper_r(+1)
-        dist = gm.outcome_distribution(r, 2, 4)
-        assert dist == {(3, 1): pytest.approx(1.0)}
+        probs = np.abs(r.entries[:, :, 1, 3]) ** 2  # [b', a'] at (a, b) = (2, 4)
+        assert probs[0, 2] == pytest.approx(1.0) and np.count_nonzero(probs) == 1
         assert gm.decode(r, "Alice", 2, 3) == (4, 1)
         assert gm.decode(r, "Bob", 4, 1) == (2, 3)
 
@@ -55,7 +65,7 @@ class TestDecode:
         r = rm.paper_r(-1)
         for a in range(1, 5):
             for b in range(1, 5):
-                ((ap, bp),) = gm.outcome_distribution(r, a, b)
+                ((bp, ap),) = np.argwhere(r.entries[:, :, a - 1, b - 1]) + 1
                 assert gm.decode(r, "Alice", a, ap) == (b, bp)
                 assert gm.decode(r, "Bob", b, bp) == (a, ap)
 
@@ -69,11 +79,12 @@ class TestDecode:
             gm.decode(rm.paper_r(+1), "Eve", 1, 1)
 
     def test_braid_fixture_needs_distribution(self):
-        with pytest.raises(gm.GameError, match="outcome_distribution"):
-            gm.decode(rm.braid_fixture(), "Alice", 1, 1)
-        dist = gm.outcome_distribution(rm.braid_fixture(), 1, 1)
-        assert sum(dist.values()) == pytest.approx(1.0)
-        assert len(dist) == 2  # superposed outcome
+        r = rm.braid_fixture()
+        with pytest.raises(gm.GameError, match="not deterministic"):
+            gm.decode(r, "Alice", 1, 1)
+        probs = gm._outcome_probs(r)[0]  # (a, b) = (1, 1)
+        assert probs.sum() == pytest.approx(1.0)
+        assert np.count_nonzero(probs) == 2  # superposed outcome
 
 
 def reference_decode(r, who, own, observed):
@@ -81,7 +92,7 @@ def reference_decode(r, who, own, observed):
     e = np.asarray(r.entries)
     m = r.m
     if np.any((e != 0).reshape(m * m, m * m).sum(axis=0) != 1):
-        raise gm.GameError("use outcome_distribution instead")
+        raise gm.GameError("R not deterministic: an exchange has more than one outcome")
     hits = []
     for x in range(1, m + 1):
         for xp in range(1, m + 1):
@@ -116,10 +127,9 @@ def reference_mutual_information(r):
     """The earlier dict-of-tuples implementation, kept as the reference."""
     m = r.m
     p = {}
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            for (ap, bp), w in gm.outcome_distribution(r, a, b).items():
-                p[(a, b, ap, bp)] = w / (m * m)
+    for (bp, ap, a, b), v in np.ndenumerate(r.entries):
+        if v != 0:
+            p[(a + 1, b + 1, ap + 1, bp + 1)] = abs(v) ** 2 / (m * m)
 
     def mi(target, view):
         joint, marg_t, marg_v = {}, {}, {}
@@ -378,7 +388,6 @@ class TestNoise:
         sigma = np.sqrt((new * (1 - new) + ref * (1 - ref)) / n)
         assert np.all(np.abs(new - ref) <= 4 * sigma), (new, ref)
 
-    @pytest.mark.filterwarnings("error")
     def test_widest_offset_range_never_hits(self):
         # p / (2d + 1) is about 5e-20 at the largest --noise-d, so q rounds
         # to 0 and no label is scrambled

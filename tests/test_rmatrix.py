@@ -242,6 +242,10 @@ class TestSerialization:
         for index in (1.7, True, "1"):
             with pytest.raises(rm.RMatrixError, match="not an integer"):
                 rm.load_rmatrix({"m": 2, "entries": [[index, 1, 1, 1, 1.0, 0.0]]})
+        # float() would read these as 1.0 and 0.0
+        for row in ([1, 1, 1, 1, "1.0", "0"], [1, 1, 1, 1, True, False]):
+            with pytest.raises(rm.RMatrixError, match="not a number"):
+                rm.load_rmatrix({"m": 2, "entries": [row]})
 
     @pytest.mark.parametrize("m", (0, -5, rm.MAX_M + 1, 1000))
     def test_rejects_m_outside_cap(self, m):
@@ -250,9 +254,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", ("nan", "inf", float("nan"), float("-inf")))
     def test_rejects_non_finite(self, value):
-        with pytest.raises(rm.RMatrixError, match="non-finite"):
+        # a string is no JSON number, so it fails before the finiteness check
+        match = "not a number" if isinstance(value, str) else "non-finite"
+        with pytest.raises(rm.RMatrixError, match=match):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, value, 0.0]]})
-        with pytest.raises(rm.RMatrixError, match="non-finite"):
+        with pytest.raises(rm.RMatrixError, match=match):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, 1.0, value]]})
 
     @pytest.mark.parametrize("name", ("paper2d", "paper3d", "braid-fixture", "gauged-paper3d"))
