@@ -31,9 +31,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or parse error: exit 2."""
 
 
 def _digest(path) -> str:
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except (game.GameError, group_engine.GroupError, gauge_sim.GaugeError,
             parafock.FockError, rmatrix.RMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,12 +100,17 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 # decode and information measures
 
 
+def _unitary_map(r: RMatrix) -> np.ndarray:
+    """as_map(r), read as a Born rule by every sweep: GameError unless unitary within 1e-12."""
+    mat = as_map(r)
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) > 1e-12:
+        raise GameError("R-matrix not unitary")
+    return mat
+
+
 def _outcome_probs(r: RMatrix) -> np.ndarray:
     """Born-rule probabilities of one exchange, p[a*m + b, b'*m + a'] (0-based)."""
-    p = np.abs(as_map(r)).T ** 2
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
-        raise GameError("R-matrix columns not normalized (is it unitary?)")
-    return p
+    return np.abs(_unitary_map(r)).T ** 2
 
 
 def _decode_tables(r: RMatrix) -> np.ndarray:
@@ -353,7 +358,7 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise GameError("trials must be >= 1")
-    mat = as_map(r)
+    mat = _unitary_map(r)
     m = r.m
     ns, probs = _twist_support(twist_dist)
 
@@ -439,7 +444,7 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     if trials < 1:
         raise GameError("trials must be >= 1")
     m = r.m
-    mat = as_map(r)
+    mat = _unitary_map(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
     q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
     results = []

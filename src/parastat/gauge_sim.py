@@ -12,9 +12,9 @@ Everything is dimension-agnostic: a patch is just vertices, oriented edges,
 and signed plaquette cycles, so 2D patches exercise the same algebra the 3D
 construction uses.  A state is a sorted int64 array of configuration codes,
 code = sum_e digit_e |G|^(E-1-e) (so code order is tuple order), beside a
-complex128 array of amplitudes, with a support cap that limits groups to
-desk scale.  Operators act on all configurations at once and touch only the
-digits of the edges they read or change.
+complex128 array of amplitudes, with a support cap (SUPPORT_CAP) that
+limits groups to desk scale.  Operators act on all configurations at once
+and touch only the digits of the edges they read or change.
 
 Costs.  At a vertex with a non-loop edge the gauge action is free, so each
 configuration's orbit has a key (the member whose element on that edge is
@@ -36,6 +36,7 @@ import numpy as np
 from .group_engine import FiniteGroup, Irrep
 
 PRUNE = 1e-14  # amplitudes at or below this are dropped after a merge
+SUPPORT_CAP = 10 ** 6  # most configurations a state, or one sample of a batch, may hold
 
 
 class GaugeError(RuntimeError):
@@ -121,10 +122,9 @@ class GaugeState:
     `codes` and their `coeffs`.
     """
 
-    def __init__(self, group: FiniteGroup, lattice: GaugeLattice, amps=(),
-                 support_cap: int = 10 ** 6):
+    def __init__(self, group: FiniteGroup, lattice: GaugeLattice, amps=()):
         amps = dict(amps)
-        self.group, self.lattice, self.support_cap = group, lattice, support_cap
+        self.group, self.lattice = group, lattice
         self._place = _place_values(group, lattice)
         codes = self._encode(list(amps))
         order = np.argsort(codes)
@@ -157,10 +157,10 @@ class GaugeState:
         return self._capped(codes[keep], coeffs[keep])
 
     def _capped(self, codes: np.ndarray, coeffs: np.ndarray) -> "GaugeState":
-        """Enforce the support cap, per sample, on codes that are already pruned."""
-        if len(codes) > self.support_cap:
+        """Enforce SUPPORT_CAP, per sample, on codes that are already pruned."""
+        if len(codes) > SUPPORT_CAP:
             largest = int(np.bincount(self._sample(codes)).max())
-            if largest > self.support_cap:
+            if largest > SUPPORT_CAP:
                 raise GaugeError(f"support cap exceeded: {largest} configurations")
         return self._like(codes, coeffs)
 
@@ -378,14 +378,14 @@ def plaquette_projector(state: GaugeState, p: int) -> GaugeState:
     return state._like(state.codes[flat], state.coeffs[flat])
 
 
-def ground_state(G: FiniteGroup, lat: GaugeLattice, support_cap: int = 10 ** 6) -> GaugeState:
+def ground_state(G: FiniteGroup, lat: GaugeLattice) -> GaugeState:
     """Uniform superposition over flat configurations.
 
     Configurations grow one edge at a time (codes stay sorted).  A
     plaquette's last edge, its closing edge, is solved from its other edges
     when the plaquette traverses it once and no earlier plaquette closes on
-    it; the rows built are then |G|^(E-P) for P solved plaquettes, which the
-    support cap bounds.  Any other plaquette is filtered as soon as its last
+    it; the rows built are then |G|^(E-P) for P solved plaquettes, which
+    SUPPORT_CAP bounds.  Any other plaquette is filtered as soon as its last
     edge is placed.  Gauge transformations permute flat configurations, so
     this state already sits in the image of every vertex projector; the
     projector conditions are re-verified in the test suite rather than
@@ -397,11 +397,11 @@ def ground_state(G: FiniteGroup, lat: GaugeLattice, support_cap: int = 10 ** 6) 
     solved = {e: next((p for p in plaqs if [f for f, _ in p].count(e) == 1), None)
               for e, plaqs in closing.items()}
     rows = G.order ** (lat.n_edges - sum(p is not None for p in solved.values()))
-    if rows > support_cap:
+    if rows > SUPPORT_CAP:
         raise GaugeError(
-            f"ground state would enumerate {rows} configurations (cap {support_cap})"
+            f"ground state would enumerate {rows} configurations (cap {SUPPORT_CAP})"
         )
-    state = GaugeState(G, lat, {}, support_cap)
+    state = GaugeState(G, lat, {})
     codes = np.zeros(1, dtype=np.int64)
     for e in range(lat.n_edges):
         plaq = solved.get(e)
@@ -451,8 +451,7 @@ def conjugate_irrep(psi: Irrep) -> Irrep:
                  psi.character.conj())
 
 
-def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int,
-                   tol: float = 1e-8) -> complex:
+def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int) -> complex:
     """Eigenvalue of the trapping operator sum_g [phi(g)]_{cc} L_v^g.
 
     On a two-excitation Wilson state with open indices (a, b), the result is
@@ -464,7 +463,7 @@ def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int,
     nrm2 = state.dot(state)
     lam = state.dot(out) / nrm2
     residual = out.axpy(state, -lam).norm()
-    if residual > tol * max(1.0, abs(lam)) * np.sqrt(abs(nrm2)) + tol:
+    if residual > 1e-8 * max(1.0, abs(lam)) * np.sqrt(abs(nrm2)) + 1e-8:
         raise GaugeError("not a two-excitation Wilson state")
     return lam
 

@@ -34,8 +34,8 @@ _MAX_RETRIES = 12
 # characters takes one n x n gather of the eigenvectors per class, k of them
 # in all (an abelian group has k = n = |G|, so 256 gathers of 1 MiB here).
 MAX_CLASSES = 256
-# Entries irreps and gauge_match hold in one block of a batched gather or
-# comparison: 2^16 (1 MiB as complex128), or one item when an item is larger.
+# Entries that irreps holds in one block of a batched gather: 2^16 (1 MiB as
+# complex128), or one item when an item is larger.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -68,9 +68,11 @@ class GroupPresentation:
 def presentation_from_dict(data: dict) -> GroupPresentation:
     try:
         gens, rels = data["generators"], data["relations"]
-        supplementary = bool(data.get("derived_supplementary", False))
+        supplementary = data.get("derived_supplementary", False)
         if not all(isinstance(w, list) for w in [gens, rels, *rels]):
             raise TypeError("generators, relations and each relator must be JSON arrays")
+        if not isinstance(supplementary, bool):
+            raise TypeError("derived_supplementary must be a JSON boolean")
     except (KeyError, TypeError, AttributeError) as exc:
         raise GroupError(f"malformed presentation: {exc!r}") from exc
     if not all(isinstance(tok, str) for word in [gens, *rels] for tok in word):
@@ -520,20 +522,18 @@ def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
     return from_map(mat, m)
 
 
-def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
+def gauge_match(r1: RMatrix, r2: RMatrix):
     """Monomial gauge Q with (Q x Q) map(r1) (Q x Q)^dag = map(r2), or None.
 
     Search space: permutations of the m internal states times diagonal phases
     from {1, -1, i, -i}, first phase fixed to 1 (a global phase cancels in
-    Q x Q): m! * 4^(m-1) candidates, 1536 at m = 4 and about 6.6e8 at
-    rmatrix.MAX_M = 8.  The first match is returned, in the order of
-    permutations in itertools order, then phase tuples in product order.
-    cli.cmd_derive_r calls this only when m equals the built-in paper3d's
-    m = 4, where a full search takes a few ms; at m = 8 a miss costs about
-    1 s per permutation, half a day in all.  Working memory stays
-    bounded at every m: phase tuples are compared in blocks of at most
-    _BLOCK_ENTRIES entries.  Absence of a monomial match does not
-    disprove equivalence under a general unitary gauge.
+    Q x Q): m! * 4^(m-1) candidates, 1536 at m = 4.  The first match within
+    1e-8 is returned, in the order of permutations in itertools order, then
+    phase tuples in product order.  cli.cmd_derive_r calls this only when m
+    equals the built-in paper3d's m = 4, where a full search takes a few ms;
+    m > 4 raises ValueError, because at m = 8 a miss would take about half a
+    day.  Absence of a monomial match does not disprove equivalence under a
+    general unitary gauge.
 
     A monomial Q e_i = ph_i e_perm(i) only permutes and rephases entries:
     (Q x Q) M1 (Q x Q)^dag has ph_a ph_b conj(ph_c ph_d) M1[ab, cd] at
@@ -546,34 +546,25 @@ def gauge_match(r1: RMatrix, r2: RMatrix, tol: float = 1e-8):
     if r1.m != r2.m:
         raise ValueError("gauge_match requires equal m")
     m = r1.m
+    if m > 4:
+        raise ValueError(f"gauge_match searches m <= 4 only, got m = {m}")
     m1 = as_map(r1)
     m2 = as_map(r2).reshape(m, m, m, m)
     turn = np.array([1, 1j, -1, -1j])  # turn[e] = i^e
     power = np.array([0, 2, 1, 3])  # the phases 1, -1, i, -i in search order, as e
-    turned = turn[:, None, None] * m1
+    # the exponents e of every phase tuple, in product order (last phase fastest)
+    places = 4 ** np.arange(m - 2, -1, -1)
+    e = np.zeros((4 ** (m - 1), m), dtype=np.int64)
+    e[:, 1:] = power[np.arange(len(e))[:, None] // places % 4]
+    pair = (e[:, :, None] + e[:, None, :]).reshape(-1, m * m)  # e_a + e_b
+    expo = (pair[:, :, None] - pair[:, None, :]) & 3
     cols = np.arange(m * m)
-    n_tuples = 4 ** (m - 1)
-    block = max(1, min(n_tuples, _BLOCK_ENTRIES // m**4))
-    places = 4 ** np.arange(m - 2, -1, -1)  # product order: last phase varies fastest
-
-    def phase_block(start):
-        """Exponents e of phase tuples start.. and the i^(e_a+e_b-e_c-e_d) M1 of each."""
-        digits = np.arange(start, min(start + block, n_tuples))[:, None] // places % 4
-        e = np.zeros((len(digits), m), dtype=np.int64)
-        e[:, 1:] = power[digits]
-        pair = (e[:, :, None] + e[:, None, :]).reshape(-1, m * m)  # e_a + e_b
-        expo = (pair[:, :, None] - pair[:, None, :]) & 3
-        return e, turned[expo, cols[:, None], cols]
-
-    first = phase_block(0)  # every permutation starts here; at m <= 4 it is all
+    cand = (turn[:, None, None] * m1)[expo, cols[:, None], cols]  # i^expo M1, per tuple
     for perm in permutations(range(m)):
         target = m2[np.ix_(perm, perm, perm, perm)].reshape(m * m, m * m)
-        for start in range(0, n_tuples, block):
-            e, cand = first if start == 0 else phase_block(start)
-            gap = np.abs(cand - target).reshape(len(e), -1).max(axis=1)
-            hit = np.flatnonzero(gap <= tol)
-            if hit.size:
-                q = np.zeros((m, m), dtype=np.complex128)
-                q[list(perm), np.arange(m)] = turn[e[hit[0]]]
-                return q
+        hit = np.flatnonzero(np.abs(cand - target).reshape(len(e), -1).max(axis=1) <= 1e-8)
+        if hit.size:
+            q = np.zeros((m, m), dtype=np.complex128)
+            q[list(perm), np.arange(m)] = turn[e[hit[0]]]
+            return q
     return None

@@ -291,15 +291,3 @@ def window_occupation_distribution(state: StateVector, window) -> dict:
         dist[pattern] = dist.get(pattern, 0.0) + abs(c) ** 2
     return dist
 
-
-def single_particle_spectrum(L: int, J: float, mu, r: RMatrix) -> np.ndarray:
-    """Eigenvalues of the free hopping Hamiltonian in the one-particle sector.
-
-    The one-particle sector factorizes as (chain of length L) x (label space),
-    so the spectrum is m identical copies of the one-body spectrum of the
-    tridiagonal matrix with hoppings -J and potentials -mu.
-    """
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (L,))
-    h = np.diag(-mu) + np.diag([-J] * (L - 1), 1) + np.diag([-J] * (L - 1), -1)
-    full = np.kron(h, np.eye(r.m))
-    return np.linalg.eigvalsh(full)

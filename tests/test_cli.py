@@ -7,8 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import parastat.cli as cli
 import parastat.rmatrix as rm
@@ -314,16 +315,46 @@ R_JSON = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=R_JSON)
-def test_verify_r_survives_any_json(tmp_path_factory, data):
+def paper3d_with_a_two():
+    """paper3d as JSON rows, with its first nonzero entry set to 2."""
+    rows = [[*(int(i) + 1 for i in idx), v.real, v.imag]
+            for idx, v in np.ndenumerate(rm.paper_r(+1).entries) if v != 0]
+    rows[0][4] = 2.0
+    return {"m": 4, "entries": rows}
+
+
+NON_UNITARY = ({"m": 1, "entries": []}, paper3d_with_a_two())
+# every subcommand that reads an --input R-matrix, with its extra arguments
+R_COMMANDS = {"verify-r": (), "simulate": (), "twist": ("--trials", "100"),
+              "noise-sweep": ("--trials", "100")}
+
+
+@settings(max_examples=240, deadline=None)  # about 60 per command
+@given(command=st.sampled_from(tuple(R_COMMANDS)), data=R_JSON)
+@example(command="simulate", data=NON_UNITARY[0])
+@example(command="simulate", data=NON_UNITARY[1])
+@example(command="twist", data=NON_UNITARY[0])
+@example(command="twist", data=NON_UNITARY[1])
+@example(command="noise-sweep", data=NON_UNITARY[0])
+@example(command="noise-sweep", data=NON_UNITARY[1])
+def test_verify_r_survives_any_json(tmp_path_factory, command, data):
     path = tmp_path_factory.mktemp("fuzz") / "r.json"
     path.write_text(json.dumps(data))
     err = StringIO()
     with redirect_stdout(StringIO()), redirect_stderr(err):
-        code = cli.main(["verify-r", "--input", str(path)])
+        code = cli.main([command, *R_COMMANDS[command], "--input", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ("twist", "noise-sweep"))
+@pytest.mark.parametrize("data", NON_UNITARY, ids=("empty-m1", "paper3d-with-a-two"))
+def test_non_unitary_r_exits_1(capsys, tmp_path, command, data):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: R-matrix not unitary\n"
 
 
 class TestGaugeCheck:
@@ -452,6 +483,8 @@ def test_unusable_presentation_exits_cleanly(capsys, name):
     ({"generators": ["a", "b"], "relations": "aabb"}, "JSON arrays"),
     ({"generators": ["a", "b"], "relations": ["aaa", "bb", "abab"]}, "JSON arrays"),
     ({"generators": ["a", "a"], "relations": [["a", "a"]]}, "duplicate generator"),
+    ({"generators": ["a"], "relations": [["a", "a"]], "derived_supplementary": "false"},
+     "JSON boolean"),
 ))
 def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
     path = tmp_path / "pres.json"

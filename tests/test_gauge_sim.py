@@ -68,9 +68,10 @@ class TestGroundState:
         g0 = gs.ground_state(G, patch)
         assert len(g0.amps) == G.order ** 3
 
-    def test_support_cap_enforced(self, small_groups, ladder):
+    def test_support_cap_enforced(self, small_groups, ladder, monkeypatch):
+        monkeypatch.setattr(gs, "SUPPORT_CAP", 1000)
         with pytest.raises(gs.GaugeError, match="cap"):
-            gs.ground_state(small_groups["D4"], ladder, support_cap=1000)
+            gs.ground_state(small_groups["D4"], ladder)
 
 
 class TestWilsonLines:
@@ -177,10 +178,11 @@ class TestTrapping:
 
 
 class TestStateOps:
-    def test_axpy_cap(self, small_groups, patch):
+    def test_axpy_cap(self, small_groups, patch, monkeypatch):
+        monkeypatch.setattr(gs, "SUPPORT_CAP", 1)
         G = small_groups["Z2"]
-        s1 = gs.GaugeState(G, patch, {(0, 0, 0, 0): 1.0}, support_cap=1)
-        s2 = gs.GaugeState(G, patch, {(1, 0, 0, 0): 1.0}, support_cap=1)
+        s1 = gs.GaugeState(G, patch, {(0, 0, 0, 0): 1.0})
+        s2 = gs.GaugeState(G, patch, {(1, 0, 0, 0): 1.0})
         with pytest.raises(gs.GaugeError, match="cap"):
             s1.axpy(s2)
 
@@ -207,7 +209,7 @@ class TestValidation:
         with pytest.raises(gs.GaugeError, match="endpoint"):
             gs.GaugeLattice(2, ((-1, 1),), ())
 
-    def test_codes_that_overflow_int64_rejected(self, small_groups):
+    def test_codes_that_overflow_int64_rejected(self, small_groups, monkeypatch):
         # 8^21 - 1 < 2^63 <= 8^22 - 1: one more edge no longer fits
         G = small_groups["D4"]
 
@@ -218,8 +220,9 @@ class TestValidation:
         assert next(iter(state.amps)) == (7,) * 21
         with pytest.raises(gs.GaugeError, match="int64"):
             gs.GaugeState(G, chain(22), {})
+        monkeypatch.setattr(gs, "SUPPORT_CAP", 10 ** 30)
         with pytest.raises(gs.GaugeError, match="int64"):
-            gs.ground_state(G, chain(22), support_cap=10 ** 30)
+            gs.ground_state(G, chain(22))
 
     def test_bad_configuration_rejected(self, small_groups, patch):
         G = small_groups["S3"]
@@ -522,21 +525,21 @@ class TestBatchEdges:
         assert res["idempotence"] == pytest.approx(2.0, abs=1e-12)
         assert res["commutation"] <= 1e-12
 
-    def test_support_cap_is_per_sample(self, small_groups, patch):
+    def test_support_cap_is_per_sample(self, small_groups, patch, monkeypatch):
         # each sample's projected support is 6 configurations, 12 in the batch
         G = small_groups["S3"]
         block = G.order ** patch.n_edges
+        one = gs.GaugeState(G, patch, {(0, 0, 0, 0): 1.0})
+        two = gs.GaugeState(G, patch, {(1, 2, 3, 4): 1.0})
+        batch = one._like(np.concatenate((one.codes, two.codes + block)),
+                          np.concatenate((one.coeffs, two.coeffs)))
 
-        def batch(cap):
-            one = gs.GaugeState(G, patch, {(0, 0, 0, 0): 1.0}, support_cap=cap)
-            two = gs.GaugeState(G, patch, {(1, 2, 3, 4): 1.0}, support_cap=cap)
-            return one._like(np.concatenate((one.codes, two.codes + block)),
-                             np.concatenate((one.coeffs, two.coeffs)))
-
-        assert gs._orbit_keys(batch(6), 0) is not None  # v0 is free: the orbit path
-        assert len(gs.vertex_projector(batch(6), 0).codes) == 12
+        assert gs._orbit_keys(batch, 0) is not None  # v0 is free: the orbit path
+        monkeypatch.setattr(gs, "SUPPORT_CAP", 6)
+        assert len(gs.vertex_projector(batch, 0).codes) == 12
+        monkeypatch.setattr(gs, "SUPPORT_CAP", 5)
         with pytest.raises(gs.GaugeError, match="support cap exceeded: 6"):
-            gs.vertex_projector(batch(5), 0)
+            gs.vertex_projector(batch, 0)
 
     @pytest.mark.parametrize("fn", (gs.vertex_expectations, gs.plaquette_expectations))
     def test_zero_state_rejected(self, small_groups, patch, fn):
@@ -633,21 +636,25 @@ def twice_on_closing_edge():
 class TestSolvedGroundState:
     @pytest.mark.parametrize("name", ("Z2", "S3", "D4"))
     @pytest.mark.parametrize("shape, solved", ((two_on_one_edge, 1), (twice_on_closing_edge, 1)))
-    def test_matches_reference(self, small_groups, name, shape, solved):
+    def test_matches_reference(self, small_groups, name, shape, solved, monkeypatch):
         G, lat = small_groups[name], shape()
         want = ref_ground_state(G, lat)
         g0 = gs.ground_state(G, lat)
         assert gap(g0, want) <= 1e-12 and len(g0.codes) == len(want)
         rows = G.order ** (lat.n_edges - solved)
-        gs.ground_state(G, lat, support_cap=rows)
+        monkeypatch.setattr(gs, "SUPPORT_CAP", rows)
+        gs.ground_state(G, lat)
+        monkeypatch.setattr(gs, "SUPPORT_CAP", rows - 1)
         with pytest.raises(gs.GaugeError, match=f"would enumerate {rows} configurations"):
-            gs.ground_state(G, lat, support_cap=rows - 1)
+            gs.ground_state(G, lat)
 
-    def test_rows_built_on_the_patches(self, small_groups):
+    def test_rows_built_on_the_patches(self, small_groups, monkeypatch):
         # |G|^(E-P): one closing edge solved on the patch, two on the ladder
         G = small_groups["D4"]
         for lat in (gs.patch_2x2(), gs.ladder_2x3()):
             rows = G.order ** (lat.n_edges - len(lat.plaquettes))
-            assert len(gs.ground_state(G, lat, support_cap=rows).codes) == rows
+            monkeypatch.setattr(gs, "SUPPORT_CAP", rows)
+            assert len(gs.ground_state(G, lat).codes) == rows
+            monkeypatch.setattr(gs, "SUPPORT_CAP", rows - 1)
             with pytest.raises(gs.GaugeError, match=f"would enumerate {rows} "):
-                gs.ground_state(G, lat, support_cap=rows - 1)
+                gs.ground_state(G, lat)

@@ -464,6 +464,14 @@ class TestMove:
         state2 = pf.create(state, 4, 2, "back")
         with pytest.raises(pf.FockError, match="occupied"):
             pf.move(state2, 2, 4)
+        # the first configuration crosses 6, which sends the move to the
+        # grouped path; the second then fails there
+        missing = pf.StateVector(r, {((2, 1), (6, 2)): .6, ((3, 1), (6, 2)): .8})
+        with pytest.raises(pf.FockError, match="no particle"):
+            pf.move(missing, 2, 7)
+        taken = pf.StateVector(r, {((2, 1), (6, 2)): .6, ((2, 1), (7, 2)): .8})
+        with pytest.raises(pf.FockError, match="occupied"):
+            pf.move(taken, 2, 7)
 
 
 class TestMoveWithoutCrossing:
@@ -563,31 +571,6 @@ class TestObservables:
         d1 = pf.window_occupation_distribution(s1, w)
         d2 = pf.window_occupation_distribution(s2, w)
         assert d1 == d2 == {(2,): pytest.approx(1.0)}
-
-
-class TestSpectrum:
-    @pytest.mark.parametrize("L", (3, 6, 8))
-    def test_m_fold_degeneracy(self, L):
-        r = rm.paper_r(+1)
-        vals = pf.single_particle_spectrum(L, 1.0, 0.5, r)
-        assert len(vals) == 4 * L
-        # each one-body level appears exactly m=4 times
-        one_body = np.linalg.eigvalsh(
-            np.diag([-0.5] * L) + np.diag([-1.0] * (L - 1), 1)
-            + np.diag([-1.0] * (L - 1), -1))
-        assert np.allclose(vals, np.sort(np.repeat(one_body, 4)))
-
-    def test_open_chain_band(self):
-        # uniform chain: levels are -mu - 2J cos(k pi / (L+1))
-        L, J, mu = 6, 0.7, 0.3
-        vals = pf.single_particle_spectrum(L, J, mu, rm.paper_r(+1))
-        ks = np.arange(1, L + 1)
-        expect = np.sort(np.repeat(-mu - 2 * J * np.cos(ks * np.pi / (L + 1)), 4))
-        assert np.allclose(vals, expect)
-
-    def test_site_dependent_potential(self):
-        vals = pf.single_particle_spectrum(3, 0.0, [1.0, 2.0, 3.0], rm.paper_r(+1))
-        assert np.allclose(vals, np.repeat([-3.0, -2.0, -1.0], 4))
 
 
 @settings(max_examples=40, deadline=None)
