@@ -206,9 +206,11 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     """One full game: create, transport with referee checks, measure, decode.
 
     inject_stray plants an excitation outside both circles mid-game to
-    demonstrate referee soundness.
+    demonstrate referee soundness.  GameError unless R is unitary, as in
+    every sweep.
     """
     r = cfg.r
+    _unitary_map(r)
     o, s = 1, cfg.L  # the corner sites
     tr = Transcript()
     rng = _rng(cfg.seed, 0x6A6D)

@@ -347,12 +347,12 @@ def test_verify_r_survives_any_json(tmp_path_factory, command, data):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("command", ("twist", "noise-sweep"))
+@pytest.mark.parametrize("command", ("twist", "noise-sweep", "simulate", "simulate --all-pairs"))
 @pytest.mark.parametrize("data", NON_UNITARY, ids=("empty-m1", "paper3d-with-a-two"))
 def test_non_unitary_r_exits_1(capsys, tmp_path, command, data):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, command, "--input", str(path))
+    code, out, err = run(capsys, *command.split(), "--input", str(path))
     assert code == 1 and out == ""
     assert err == "error: R-matrix not unitary\n"
 

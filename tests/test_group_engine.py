@@ -389,6 +389,15 @@ class TestIntertwiner:
         assert derived.m == 1
         assert np.allclose(derived.entries, 1.0)
 
+    def test_group_without_generators(self):
+        """The trivial group has no generator to check V on, so the first
+        full-rank draw is accepted."""
+        G = ge.enumerate_group(ge.GroupPresentation((), ()))
+        (rep,) = ge.irreps(G)
+        v = ge.solve_intertwiner(rep, rep).V
+        assert v.shape == (1, 1)
+        assert abs(abs(v[0, 0]) - 1.0) < 1e-12
+
     def test_derived_entries_are_complex(self, small_groups, gamma_derived):
         # the near-integer m = 1 tensor is snapped to an exact 1, still complex
         G = small_groups["S3"]
@@ -511,6 +520,28 @@ class TestGaugeMatchAgainstReference:
                 assert q is not None and np.array_equal(q, ref)
                 found += 1
         assert found >= 5  # r itself and its four monomial gauges
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_derived_r_against_paper3d(self, gamma, seed):
+        """A derived R has 256 nonzero entries and paper3d 16, so the moduli
+        precheck returns None without the scan; the loop finds no match."""
+        _, derived = ge.find_para_pair(gamma, seed=seed)
+        r = rm.paper_r(+1)
+        assert reference_gauge_match(derived, r) is None
+        assert ge.gauge_match(derived, r) is None
+
+    @pytest.mark.parametrize("shift, matches", ((0.5e-8, True), (5e-8, False)))
+    def test_tolerance_edge(self, shift, matches):
+        """A monomial gauge of paper3d with one nonzero entry lengthened by
+        shift, so its modulus moves by shift: within 1e-8 it still matches."""
+        r = rm.paper_r(+1)
+        mat = rm.as_map(_gauged(r, _monomial(4, np.random.default_rng(29)))).copy()
+        k = np.flatnonzero(mat)[5]
+        mat.flat[k] *= 1 + shift / abs(mat.flat[k])
+        other = rm.from_map(mat, 4)
+        q, ref = ge.gauge_match(r, other), reference_gauge_match(r, other)
+        assert (ref is not None) == matches
+        assert (q is None and ref is None) or np.array_equal(q, ref)
 
 
 class TestSupplementaryRelation:
