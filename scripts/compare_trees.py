@@ -25,10 +25,28 @@ from pathlib import Path
 
 SEEDS = range(10)
 BUILTINS = ("paper2d", "paper3d", "braid-fixture", "trivial4", "trivial8")
+# acceptance criterion 7's trapping eigenvalues as [re, im]: every (phi, c)
+# at the Wilson line's end vertex, then the conjugate irrep at its start
+TRAPPING = """
+import json
+import numpy as np
+from parastat import gauge_sim as gs, group_engine as ge
+out = {}
+for name in ("Z2", "S3", "D4"):
+    G = ge.enumerate_group(ge.NAMED_PRESENTATIONS[name]())
+    psi = max(ge.irreps(G), key=lambda rep: (rep.dim, float(np.abs(rep.character - 1).sum())))
+    g0 = gs.ground_state(G, gs.patch_2x2())
+    exc = gs.apply_wilson_line(g0, gs.WilsonLine(psi, ((0, +1), (3, +1))), 0, 0)
+    lams = [gs.trapping_check(exc, 3, phi, c) for phi in ge.irreps(G) for c in range(phi.dim)]
+    lams.append(gs.trapping_check(exc, 0, gs.conjugate_irrep(psi), 0))
+    out[name] = [[lam.real, lam.imag] for lam in lams]
+print(json.dumps(out))
+"""
 API = {
     "fock_suite.run(1..3)": "import json, fock_suite; "
                             "print(json.dumps([fock_suite.run(s) for s in (1, 2, 3)]))",
     "gauge_ladder.run(4)": "import json, gauge_ladder; print(json.dumps(gauge_ladder.run(4)))",
+    "trapping(Z2, S3, D4)": TRAPPING,
 }
 TIMESTAMP = re.compile(rb'^ *"timestamp": "[^"]*",?\n', re.MULTILINE)
 

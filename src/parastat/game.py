@@ -103,7 +103,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _unitary_map(r: RMatrix) -> np.ndarray:
     """as_map(r), read as a Born rule by every sweep: GameError unless unitary within 1e-12."""
     mat = as_map(r)
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) > 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan
+        residual = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
+    if not residual <= 1e-12:  # a nan residual fails too
         raise GameError("R-matrix not unitary")
     return mat
 

@@ -16,14 +16,14 @@ complex128 array of amplitudes, with a support cap (SUPPORT_CAP) that
 limits groups to desk scale.  Operators act on all configurations at once
 and touch only the digits of the edges they read or change.
 
-Costs.  At a vertex with a non-loop edge the gauge action is free, so each
-configuration's orbit has a key (the member whose element on that edge is
-the identity) found with one table lookup per edge at the vertex: the
-vertex projector and <A_v> sort N keys for N configurations and write or
-read |G| members per orbit.  Only a vertex whose edges are all self-loops
-sums |G| shifted copies of the state.  The ground state solves each
-plaquette's closing edge from its other edges and so builds |G|^(E-P)
-configurations for E edges and P plaquettes.
+Costs.  Every vertex meets an edge to another vertex (GaugeLattice checks
+this), so the gauge action at each vertex is free and each configuration's
+orbit has a key (the member whose element on that edge is the identity)
+found with one table lookup per edge at the vertex: the vertex projector,
+<A_v> and the trapping check sort N keys for N configurations and write or
+read |G| members per orbit.  The ground state solves each plaquette's
+closing edge from its other edges and so builds |G|^(E-P) configurations
+for E edges and P plaquettes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ class GaugeError(RuntimeError):
 
 @dataclass(frozen=True)
 class GaugeLattice:
-    """Oriented graph with plaquettes as signed edge cycles."""
+    """Oriented graph with plaquettes as signed edge cycles.
+
+    Every vertex must meet an edge to another vertex, so that the gauge
+    action is free at every vertex (see _orbit_keys); self-loops are allowed
+    beside such an edge.
+    """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]  # (tail, head)
@@ -56,6 +61,10 @@ class GaugeLattice:
             if not all(0 <= x < self.n_vertices for x in ends):
                 raise GaugeError(f"edge {e} {ends} has an endpoint outside "
                                  f"0..{self.n_vertices - 1}")
+        linked = {x for tail, head in self.edges if tail != head for x in (tail, head)}
+        for v in range(self.n_vertices):
+            if v not in linked:
+                raise GaugeError(f"vertex {v} meets no edge to another vertex")
         for p in self.plaquettes:
             for e, sign in p:
                 if not 0 <= e < len(self.edges):
@@ -199,14 +208,6 @@ class GaugeState:
             raise GaugeError("zero state")
         return self._like(self.codes, self.coeffs / nrm)
 
-    def axpy(self, other: "GaugeState", scale: complex = 1.0) -> "GaugeState":
-        keys, mine, theirs = self._union(other)
-        return self._pruned(keys, mine + scale * theirs)
-
-    def dot(self, other: "GaugeState") -> complex:
-        _, mine, theirs = self._union(other)
-        return complex(np.vdot(mine, theirs))
-
     def distance(self, other: "GaugeState") -> float:
         _, mine, theirs = self._union(other)
         return float(np.linalg.norm(mine - theirs))
@@ -321,27 +322,18 @@ def _shifted_codes(state: GaugeState, codes: np.ndarray, v: int, g: np.ndarray) 
     return out
 
 
-def _gauge_sum(state: GaugeState, v: int, weights: np.ndarray) -> GaugeState:
-    """sum_g weights[g] L_v^g |state>, over the g with a nonzero weight."""
-    g = np.flatnonzero(weights)
-    codes = _shifted_codes(state, state.codes, v, g)
-    return state._pruned(*_accumulate(codes.ravel(), (weights[g, None] * state.coeffs).ravel()))
+def _orbit_keys(state: GaugeState, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code of each configuration's orbit representative under L_v, and
+    the g* with L_v^g* c = key for each configuration c.
 
-
-def _orbit_keys(state: GaugeState, v: int) -> np.ndarray | None:
-    """The code of each configuration's orbit representative under L_v, or
-    None when every edge at v is a self-loop (or none meets it).
-
-    L_v^g takes the element h on a non-loop edge e* at v to h g^-1 (tail)
-    or g h (head), so distinct g give distinct images: the action is free,
-    and each orbit has exactly one member whose e* element is the identity,
-    L_v^g* c with g* = c[e*] (tail) or c[e*]^-1 (head).  That costs one
-    table lookup per edge at v.
+    L_v^g takes the element h on a non-loop edge e* at v (GaugeLattice
+    guarantees one) to h g^-1 (tail) or g h (head), so distinct g give
+    distinct images: the action is free, and each orbit has exactly one
+    member whose e* element is the identity, L_v^g* c with g* = c[e*]
+    (tail) or c[e*]^-1 (head).  That costs one table lookup per edge at v.
     """
     G, lat = state.group, state.lattice
-    free = next((e for e, ends in enumerate(lat.edges) if ends.count(v) == 1), None)
-    if free is None:
-        return None
+    free = next(e for e, ends in enumerate(lat.edges) if ends.count(v) == 1)
     shifts = dict(_code_shifts(state, v, np.arange(G.order)))
     digits = state._digits()
     old = {e: digits[e] for e in shifts}  # each edge's elements, decoded once
@@ -349,21 +341,17 @@ def _orbit_keys(state: GaugeState, v: int) -> np.ndarray | None:
     keys = state.codes.copy()
     for e, shift in shifts.items():  # shift[g*, old], read from the flat table
         keys += shift.ravel().take(g * G.order + old[e])
-    return keys
+    return keys, g
 
 
 def vertex_projector(state: GaugeState, v: int) -> GaugeState:
     """Group average of the gauge action at v (a projector).
 
-    Where the action is free (see _orbit_keys), every member of an orbit O
-    gets S_O / |G|, with S_O the sum of the state over O; otherwise the
-    |G| shifted copies of the state are summed.
+    Every member of an orbit O (see _orbit_keys) gets S_O / |G|, with S_O
+    the sum of the state over O.
     """
     n = state.group.order
-    keys = _orbit_keys(state, v)
-    if keys is None:
-        return _gauge_sum(state, v, np.full(n, 1.0 / n))
-    keys, sums = _accumulate(keys, state.coeffs)
+    keys, sums = _accumulate(_orbit_keys(state, v)[0], state.coeffs)
     amps = sums / n
     keep = np.abs(amps) > PRUNE
     keys, amps = keys[keep], amps[keep]
@@ -452,18 +440,32 @@ def conjugate_irrep(psi: Irrep) -> Irrep:
 
 
 def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int) -> complex:
-    """Eigenvalue of the trapping operator sum_g [phi(g)]_{cc} L_v^g.
+    """Eigenvalue of the trapping operator T = sum_g [phi(g)]_{cc} L_v^g.
 
     On a two-excitation Wilson state with open indices (a, b), the result is
     |G|/d_phi at the path's end vertex when (phi, c) = (psi, a), at the
     start vertex when (phi, c) = (conjugate psi, b), and 0 otherwise.
+
+    Configuration c = L_v^h key, with h = g*^-1 from _orbit_keys, sits at
+    A[o, h] for its orbit o.  T maps it to sum_k w(k h^-1) L_v^k key with
+    w(g) = [phi(g)]_{cc}, so T acts as A @ W with W[h, k] = w(k h^-1): one
+    (orbits x |G|) @ (|G| x |G|) product, and no state is built.
     """
+    G, n = state.group, state.group.order
+    nrm2 = _norm2(state)
+    keys, g = _orbit_keys(state, v)
+    reps = np.sort(keys)
+    reps = reps[_firsts(reps)]
+    if len(reps) * n > SUPPORT_CAP:
+        raise GaugeError(f"support cap exceeded: {len(reps) * n} configurations")
+    A = np.zeros((len(reps), n), dtype=np.complex128)
+    A[np.searchsorted(reps, keys), G.inv[g]] = state.coeffs
     weights = phi.matrices[:, c_index, c_index]
-    out = _gauge_sum(state, v, np.where(np.abs(weights) > 1e-15, weights, 0))
-    nrm2 = state.dot(state)
-    lam = state.dot(out) / nrm2
-    residual = out.axpy(state, -lam).norm()
-    if residual > 1e-8 * max(1.0, abs(lam)) * np.sqrt(abs(nrm2)) + 1e-8:
+    weights = np.where(np.abs(weights) > 1e-15, weights, 0)
+    out = A @ weights[G.mult[np.arange(n), G.inv[:, None]]]
+    lam = complex(np.vdot(A, out)) / nrm2
+    residual = np.linalg.norm(out - lam * A)
+    if not residual <= 1e-8 * max(1.0, abs(lam)) * np.sqrt(nrm2) + 1e-8:
         raise GaugeError("not a two-excitation Wilson state")
     return lam
 
@@ -483,22 +485,13 @@ def _norm2(state: GaugeState) -> float:
 def vertex_expectations(state: GaugeState) -> list[float]:
     """<A_v> per vertex (1 on unexcited vertices, < 1 at string endpoints).
 
-    Where L_v acts freely, <psi|A_v|psi> = sum_O |S_O|^2 / |G| with S_O the
-    sum of psi over the orbit O, read off the orbit keys of _orbit_keys: a
-    few table lookups per configuration and one sort of the keys, with no
-    projected state.  A vertex whose only edges are self-loops takes
-    <psi|A_v psi> from its projector, which sums |G| shifted copies.
+    <psi|A_v|psi> = sum_O |S_O|^2 / |G| with S_O the sum of psi over the
+    orbit O, read off the orbit keys of _orbit_keys: a few table lookups per
+    configuration and one sort of the keys, with no projected state.
     """
-    nrm2 = _norm2(state)
-    out = []
-    for v in range(state.lattice.n_vertices):
-        keys = _orbit_keys(state, v)
-        if keys is None:
-            mass = state.dot(vertex_projector(state, v)).real
-        else:
-            mass = _mass(_accumulate(keys, state.coeffs)[1]) / state.group.order
-        out.append(float(mass / nrm2))
-    return out
+    nrm2, n = _norm2(state), state.group.order
+    return [float(_mass(_accumulate(_orbit_keys(state, v)[0], state.coeffs)[1]) / n / nrm2)
+            for v in range(state.lattice.n_vertices)]
 
 
 def plaquette_expectations(state: GaugeState) -> list[float]:

@@ -323,7 +323,9 @@ def paper3d_with_a_two():
     return {"m": 4, "entries": rows}
 
 
-NON_UNITARY = ({"m": 1, "entries": []}, paper3d_with_a_two())
+# the third overflows in R^dagger R, so its unitarity residual is nan
+NON_UNITARY = ({"m": 1, "entries": []}, paper3d_with_a_two(),
+               {"m": 2, "entries": [[1, 1, 1, 1, 1e308, 1e308]]})
 # every subcommand that reads an --input R-matrix, with its extra arguments
 R_COMMANDS = {"verify-r": (), "simulate": (), "twist": ("--trials", "100"),
               "noise-sweep": ("--trials", "100")}
@@ -348,7 +350,8 @@ def test_verify_r_survives_any_json(tmp_path_factory, command, data):
 
 
 @pytest.mark.parametrize("command", ("twist", "noise-sweep", "simulate", "simulate --all-pairs"))
-@pytest.mark.parametrize("data", NON_UNITARY, ids=("empty-m1", "paper3d-with-a-two"))
+@pytest.mark.parametrize("data", NON_UNITARY,
+                         ids=("empty-m1", "paper3d-with-a-two", "overflowing"))
 def test_non_unitary_r_exits_1(capsys, tmp_path, command, data):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(data))
