@@ -7,9 +7,10 @@ lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
 apart from the timestamp, reruns with the same arguments are byte-identical.
 Each random draw is seeded, so reruns reproduce: the game sweeps (simulate,
 twist, noise-sweep) draw from Philox counter-based generators keyed by
---seed; derive-r's intertwiner draw and gauge-check's commutator samples use
-numpy's default PCG64 generator seeded with --seed; and the irreps that both
-build come from a PCG64 generator with the fixed seed 0.
+--seed; derive-r's intertwiner draw and gauge-check's commutator samples
+take their few hundred scalars from the stdlib random.Random(--seed); and
+the irreps that both build come from random.Random(0).  derive-r, verify-r
+and gauge-check never import numpy.random.
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None  # strict JSON has no NaN or Infinity
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
@@ -96,7 +99,8 @@ def _emit(args, payload: dict, rows=None) -> None:
             writer.writeheader()
             writer.writerows(rows)
         else:
-            target.write(json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n")
+            target.write(json.dumps(_jsonable(payload), indent=1, sort_keys=True,
+                                    allow_nan=False) + "\n")
     finally:
         if out:
             target.close()

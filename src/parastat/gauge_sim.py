@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_engine import FiniteGroup, Irrep
+from .group_engine import FiniteGroup, Irrep, _normals, _seeded
 
 PRUNE = 1e-14  # amplitudes at or below this are dropped after a merge
 SUPPORT_CAP = 10 ** 6  # most configurations a state, or one sample of a batch, may hold
@@ -511,6 +511,11 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
     dimensions are never materialized).  All samples travel in one batch
     state, sample k's codes offset by k |G|^E, so each projector runs once;
     the support cap and every residual are per sample.
+
+    Each sample draws, from one random.Random(seed), 40 configurations whose
+    edge elements are floor(u |G|) of uniforms u, then their amplitudes from
+    _normals; a configuration drawn twice keeps its last amplitude.  A seed
+    that is negative or no integer raises GaugeError.
     """
     if samples < 1:
         raise GaugeError(f"samples must be at least 1, got {samples}")
@@ -518,14 +523,13 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
     if samples * block - 1 > np.iinfo(np.int64).max:
         raise GaugeError(f"{samples} samples of {G.order}^{lat.n_edges} configurations "
                          "do not fit int64 codes")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed, GaugeError)
     codes, coeffs = [], []
     for k in range(samples):
-        amps = {}
-        for _ in range(40):
-            config = tuple(rng.integers(0, G.order, lat.n_edges).tolist())
-            amps[config] = complex(rng.standard_normal(), rng.standard_normal())
-        s = GaugeState(G, lat, amps).normalized()
+        configs = [tuple(int(rng.random() * G.order) for _ in range(lat.n_edges))
+                   for _ in range(40)]
+        z = _normals(rng, 2, 40)
+        s = GaugeState(G, lat, zip(configs, z[0] + 1j * z[1])).normalized()
         codes.append(s.codes + k * block)
         coeffs.append(s.coeffs)
     batch = s._like(np.concatenate(codes), np.concatenate(coeffs))

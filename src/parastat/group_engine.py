@@ -21,6 +21,9 @@ irrep, and the right fusion rule) and the bundled file flags it as derived.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import random
 from array import array
 from dataclasses import dataclass, field
 from importlib import resources
@@ -41,6 +44,29 @@ _BLOCK_ENTRIES = 1 << 16
 
 class GroupError(RuntimeError):
     pass
+
+
+def _seeded(seed, error=GroupError) -> random.Random:
+    """random.Random(seed) for an integer seed >= 0; error otherwise.
+
+    Random(-s) seeds the same stream as Random(s), so a negative seed would
+    silently repeat another one.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise error(f"seed must be an integer >= 0, got {seed!r}")
+    return random.Random(int(seed))
+
+
+def _normals(rng: random.Random, *shape: int) -> np.ndarray:
+    """Standard normals of the given shape from rng.random(), by Box-Muller:
+    sqrt(-2 log(1 - u1)) cos(2 pi u2) per consecutive pair of uniforms.
+
+    rng.random() is the one stdlib stream that Python keeps the same across
+    versions, and a few hundred scalar draws do not pay for importing
+    numpy.random.
+    """
+    u = np.array([rng.random() for _ in range(2 * math.prod(shape))]).reshape(*shape, 2)
+    return np.sqrt(-2 * np.log1p(-u[..., 0])) * np.cos(2 * np.pi * u[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +355,8 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
     its traces are the character.  One eigenspace per distinct character is
     kept.  A draw whose eigenspaces are not all irreducible, or whose
     characters are not an orthonormal basis of class functions, is redrawn.
+    The real and imaginary parts of f come from _normals on random.Random(0),
+    so the irreps, and the basis of each, are the same in every process.
     """
     if G._irreps is not None:
         return G._irreps
@@ -337,9 +365,9 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
         raise GroupError(f"{k} conjugacy classes: character tables stop at {MAX_CLASSES}")
     keys = G.mult[G.inv]  # keys[x, y] = x^-1 y, so C[keys[g]] = L_g C
     sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
-    rng = np.random.default_rng(0)  # fixed: the irreps are cached on G
+    rng = random.Random(0)  # fixed: the irreps are cached on G
     for _ in range(_MAX_RETRIES):
-        z = rng.standard_normal((2, n))
+        z = _normals(rng, 2, n)
         a = z[0] + 1j * z[1]
         vals, vecs = np.linalg.eigh((a + a[G.inv].conj())[keys])
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > 1e-6)
@@ -464,7 +492,9 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     isometrically to the b-th.  The polar factor of p_11 Z, for a random
     complex dim x m matrix Z, is an orthonormal basis q_1..q_m of range(p_11),
     and column (a, b) of V is p_b1 q_a.  Every p_b1 is one contraction of
-    sigma's (|G|, d_sigma^2) table with psi's (|G|, m^2) table.
+    sigma's (|G|, d_sigma^2) table with psi's (|G|, m^2) table.  The real and
+    imaginary parts of Z come from _normals on random.Random(seed); a seed
+    that is negative or no integer raises GroupError.
 
     A draw is redrawn when p_11 Z is rank-deficient (s_min <= 1e-8 s_max) or
     V misses the intertwining relation by more than 1e-8 on a generator;
@@ -474,6 +504,7 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     against V (1_m (x) sigma(g)), which is V's (dim, m, d_sigma) reshape
     times sigma(g); a group without generators passes it.
     """
+    rng = _seeded(seed)
     G = sigma.group
     n = G.order
     ds, m = sigma.dim, psi.dim
@@ -485,9 +516,8 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     weighted = sigma.matrices[:, :, 0].conj()[:, :, None] * psi.matrices.reshape(n, 1, m * m)
     p = (sig.T @ weighted.reshape(n, ds * m * m)) * (ds / n)  # [(i, j), (b, k, l)]
     p = p.reshape(ds, ds, ds, m, m).transpose(2, 0, 3, 1, 4).reshape(ds, dim, dim)
-    rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
-        z = rng.standard_normal((2, dim, m))
+        z = _normals(rng, 2, dim, m)
         u, s, vh = np.linalg.svd(p[0] @ (z[0] + 1j * z[1]), full_matrices=False)
         if s[-1] <= 1e-8 * s[0]:
             continue  # rank-deficient draw; try a fresh Z

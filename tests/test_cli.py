@@ -88,6 +88,26 @@ class TestVerifyR:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_overflowing_r_gives_strict_json_and_no_warnings(self, tmp_path):
+        # R^dagger R and the braid products overflow: every residual is nan
+        import parastat
+
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"m": 2, "entries": [[1, 1, 1, 1, 1e308, 1e308]]}))
+        src = Path(parastat.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "parastat.cli", "verify-r", "--input",
+                               str(path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(done.stdout, parse_constant=refuse)
+        assert [c["max_residual"] for c in payload["checks"]] == [None, None, None]
+        assert not any(c["passed"] for c in payload["checks"])
+
     def test_missing_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-r")
         assert code == 2 and "provide --builtin or --input" in err
@@ -339,6 +359,7 @@ R_COMMANDS = {"verify-r": (), "simulate": (), "twist": ("--trials", "100"),
 @example(command="twist", data=NON_UNITARY[1])
 @example(command="noise-sweep", data=NON_UNITARY[0])
 @example(command="noise-sweep", data=NON_UNITARY[1])
+@example(command="verify-r", data=NON_UNITARY[2])  # a numpy warning would raise here
 def test_verify_r_survives_any_json(tmp_path_factory, command, data):
     path = tmp_path_factory.mktemp("fuzz") / "r.json"
     path.write_text(json.dumps(data))
@@ -436,25 +457,31 @@ def test_cli_import_leaves_sympy_out():
     assert done.stdout.strip() == "False"
 
 
-def test_gauge_path_leaves_numpy_ma_out():
-    # plain np.unique imports numpy.ma; the gauge path and the group tables avoid it
+def test_gauge_path_leaves_numpy_ma_out(tmp_path):
+    # plain np.unique imports numpy.ma; the gauge path and the group tables
+    # avoid it.  derive-r, verify-r and gauge-check take their few draws from
+    # random.Random, so numpy.random stays out of them too.
     import parastat
 
     src = Path(parastat.__file__).resolve().parents[1]
-    probes = (
-        "import contextlib, io, sys, parastat.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['gauge-check', '--group', 'D4'])\n"
-        "print(code, 'numpy.ma' in sys.modules)",
-        "import sys, parastat.group_engine as ge\n"
-        "ge.enumerate_group(ge.gamma_presentation())\n"
-        "print(0, 'numpy.ma' in sys.modules)",
-    )
+    command = ("import contextlib, io, sys, parastat.cli as cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    code = cli.main({!r})\n"
+               "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+    probes = [command.format(argv) for argv in (
+        ["gauge-check", "--group", "D4"],
+        ["gauge-check", "--group", "D4", "--patch", "ladder"],
+        ["derive-r", "--out-r", str(tmp_path / "r.json")],
+        ["verify-r", "--builtin", "paper3d"],
+    )]
+    probes.append("import sys, parastat.group_engine as ge\n"
+                  "ge.enumerate_group(ge.gamma_presentation())\n"
+                  "print(0, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
     for probe in probes:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0 False"
+        assert done.stdout.strip() == "0 False False", probe
 
 
 def test_closed_stdout_exits_without_traceback():

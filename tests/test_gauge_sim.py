@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -451,14 +452,15 @@ def outcome(fn, *args):
 
 
 def ref_commutator_residuals(G, lat, seed=0, samples=5):
-    """One state per sample, each projector applied to each state alone."""
-    rng = np.random.default_rng(seed)
+    """One state per sample, each projector applied to each state alone, on
+    the states commutator_residuals draws."""
+    rng = random.Random(seed)
     states = []
     for _ in range(samples):
-        amps = {}
-        for _ in range(40):
-            config = tuple(int(x) for x in rng.integers(0, G.order, lat.n_edges))
-            amps[config] = complex(rng.standard_normal(), rng.standard_normal())
+        configs = [tuple(int(rng.random() * G.order) for _ in range(lat.n_edges))
+                   for _ in range(40)]
+        z = ge._normals(rng, 2, 40)
+        amps = {config: complex(re, im) for config, re, im in zip(configs, *z)}
         states.append(gs.GaugeState(G, lat, amps).normalized())
     ops = [(v, gs.vertex_projector) for v in range(lat.n_vertices)]
     ops += [(p, gs.plaquette_projector) for p in range(len(lat.plaquettes))]
@@ -544,6 +546,12 @@ class TestBatchEdges:
         for samples in (0, -1):
             with pytest.raises(gs.GaugeError, match="samples"):
                 gs.commutator_residuals(small_groups["Z2"], patch, samples=samples)
+
+    @pytest.mark.parametrize("seed", (-3, -1, 1.5, "3", None))
+    def test_seed_that_is_negative_or_no_integer_rejected(self, small_groups, patch, seed):
+        # random.Random(-3) seeds the stream of random.Random(3)
+        with pytest.raises(gs.GaugeError, match="seed must be an integer >= 0"):
+            gs.commutator_residuals(small_groups["Z2"], patch, seed=seed)
 
     def test_batch_codes_overflowing_int64_rejected(self, small_groups):
         # 8^21 codes fill int64 exactly: one sample fits, two do not

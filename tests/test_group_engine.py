@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 import tracemalloc
 from itertools import permutations, product
@@ -165,23 +166,32 @@ def test_character_table_matches_burnside(name):
     assert [rep.index for rep in ge.irreps(G)] == list(range(len(ref)))
 
 
-class _ZeroDraws:
-    """Wraps a generator; its first `zeros` standard_normal draws are all zero."""
-
-    def __init__(self, inner, zeros):
-        self.inner = inner
-        self.zeros = zeros
-
-    def standard_normal(self, shape):
-        if self.zeros:
-            self.zeros -= 1
-            return np.zeros(shape)
-        return self.inner.standard_normal(shape)
-
-
 def _patch_zero_draws(monkeypatch, zeros):
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroDraws(real(seed), zeros))
+    """The first `zeros` calls of ge._normals return zeros and leave the stream
+    where it was, so the next call makes the seed's first real draw."""
+    real, left = ge._normals, [zeros]
+
+    def normals(rng, *shape):
+        if left[0]:
+            left[0] -= 1
+            return np.zeros(shape)
+        return real(rng, *shape)
+
+    monkeypatch.setattr(ge, "_normals", normals)
+
+
+def test_normals_stream_is_pinned():
+    # random.Random(0) gives these uniforms, and these Box-Muller normals in
+    # pure Python, on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+    rng = random.Random(0)
+    assert [rng.random() for _ in range(4)] == [
+        0.8444218515250481, 0.7579544029403025, 0.420571580830845, 0.25891675029296335]
+    z = ge._normals(random.Random(0), 4)
+    assert z.shape == (4,)
+    pinned = [0.09637157846515239, -0.05850007947614822, -0.9894262130739009,
+              -0.5753580276639962]
+    assert np.max(np.abs(z - pinned)) <= 1e-15
+    assert np.array_equal(ge._normals(random.Random(0), 2, 2), z.reshape(2, 2))
 
 
 class TestCharacters:
@@ -356,6 +366,12 @@ class TestIntertwiner:
         _patch_zero_draws(monkeypatch, ge._MAX_RETRIES)
         with pytest.raises(ge.GroupError, match="no unitary intertwiner"):
             ge.solve_intertwiner(sigma, psi)
+
+    @pytest.mark.parametrize("seed", (-3, -1, 1.5, "3", None))
+    def test_seed_that_is_negative_or_no_integer_rejected(self, gamma_pair, seed):
+        # random.Random(-3) seeds the stream of random.Random(3)
+        with pytest.raises(ge.GroupError, match="seed must be an integer >= 0"):
+            ge.solve_intertwiner(*gamma_pair, seed=seed)
 
     def test_gamma_peak_memory(self, gamma_pair):
         sigma, psi = gamma_pair
