@@ -24,6 +24,9 @@ import tempfile
 from pathlib import Path
 
 SEEDS = range(10)
+# --seed has no upper bound: a tree that cannot key a seed beyond 64 bits
+# shows a differing exit code on the runs that use this one
+BIG_SEED = str(2 ** 64 + 1)
 BUILTINS = ("paper2d", "paper3d", "braid-fixture", "trivial4", "trivial8")
 # acceptance criterion 7's trapping eigenvalues as [re, im]: every (phi, c)
 # at the Wilson line's end vertex, then the conjugate irrep at its start
@@ -57,6 +60,9 @@ def runs():
         yield (f"derive-r --seed {s}",
                ["-m", "parastat.cli", "--seed", str(s), "derive-r", "--out-r", f"r{s}.json"],
                [f"r{s}.json"])
+    yield (f"derive-r --seed {BIG_SEED}",
+           ["-m", "parastat.cli", "--seed", BIG_SEED, "derive-r", "--out-r", "r_big.json"],
+           ["r_big.json"])
     tols = ((), ("--tol", "0"))
     for s in SEEDS:
         for tol in tols:
@@ -72,9 +78,13 @@ def runs():
                ["-m", "parastat.cli", "simulate", "--builtin", *extra], [])
     for name in ("paper3d", "braid-fixture"):
         yield f"twist --builtin {name}", ["-m", "parastat.cli", "twist", "--builtin", name], []
+    yield (f"twist --seed {BIG_SEED} --builtin braid-fixture",
+           ["-m", "parastat.cli", "--seed", BIG_SEED, "twist", "--builtin", "braid-fixture"], [])
     for extra in (("paper3d",), ("braid-fixture", "--p", "0.7")):
         yield (f"noise-sweep --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "noise-sweep", "--builtin", *extra], [])
+    yield (f"noise-sweep --seed {BIG_SEED} --builtin paper3d",
+           ["-m", "parastat.cli", "--seed", BIG_SEED, "noise-sweep", "--builtin", "paper3d"], [])
     for group in ("Z2", "S3", "D4"):
         yield (f"gauge-check --group {group}",
                ["-m", "parastat.cli", "gauge-check", "--group", group], [])
@@ -91,8 +101,9 @@ def outputs(tree: Path, work: Path):
         proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
                               capture_output=True, check=False)
         blob = b"exit %d\n" % proc.returncode + TIMESTAMP.sub(b"", proc.stdout) + proc.stderr
-        for name in files:
-            blob += (work / name).read_bytes()
+        for name in files:  # a failed run may not have written its file
+            if (work / name).exists():
+                blob += (work / name).read_bytes()
         result[label] = blob
     return result
 

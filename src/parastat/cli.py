@@ -5,12 +5,10 @@ Exit codes: 0 success, 1 domain failure (a check failed or the game was
 lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
 (command, resolved arguments, seed, version, timestamp, input digests);
 apart from the timestamp, reruns with the same arguments are byte-identical.
-Each random draw is seeded, so reruns reproduce: the game sweeps (simulate,
-twist, noise-sweep) draw from Philox counter-based generators keyed by
---seed; derive-r's intertwiner draw and gauge-check's commutator samples
-take their few hundred scalars from the stdlib random.Random(--seed); and
-the irreps that both build come from random.Random(0).  derive-r, verify-r
-and gauge-check never import numpy.random.
+Each random draw is seeded, so reruns reproduce: every draw comes from one
+counter-based stream (group_engine._seeded) keyed by --seed, of any size,
+and the irreps from the stream of seed 0.  No subcommand loads numpy's
+random module.
 """
 
 from __future__ import annotations

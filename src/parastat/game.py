@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parafock as pf
+from .group_engine import _normals, _seeded
 from .rmatrix import RMatrix, _whole, as_map
 
 
@@ -45,6 +46,7 @@ class GameConfig:
     r0: int = 3
 
     def __post_init__(self):
+        _rng(self.seed)  # GameError unless the seed is an integer >= 0
         if self.r0 < 0:
             raise GameError("window radius r0 must be >= 0")
         if self.L < max(2, 6 * self.r0):
@@ -91,9 +93,10 @@ class OutcomeReport:
         }
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator: Philox keyed by (seed, key...)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
+def _rng(seed: int, *key: int):
+    """The counter-based stream keyed by (seed, key...), group_engine._seeded:
+    GameError unless seed is an integer >= 0."""
+    return _seeded(seed, *key, error=GameError)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def _guesses(hits: np.ndarray, m: int, rng) -> np.ndarray:
     decode failed (negative hit) guesses uniformly instead."""
     guesses = hits // m + 1
     failed = hits < 0
-    guesses[failed] = rng.integers(1, m + 1, size=np.count_nonzero(failed))
+    guesses[failed] = 1 + rng.integers(m, size=np.count_nonzero(failed))
     return guesses
 
 
@@ -462,7 +465,7 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         labels[1, np.arange(trials), b] = 1.0
         if dist <= noise_l:
             scrambled = rng.random((2, trials)) < q
-            z = rng.standard_normal((2, np.count_nonzero(scrambled), m))
+            z = _normals(rng, 2, np.count_nonzero(scrambled), m)
             z = z[0] + 1j * z[1]
             labels[scrambled] = z / np.linalg.norm(z, axis=1, keepdims=True)
         psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)

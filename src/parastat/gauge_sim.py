@@ -512,10 +512,10 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
     state, sample k's codes offset by k |G|^E, so each projector runs once;
     the support cap and every residual are per sample.
 
-    Each sample draws, from one random.Random(seed), 40 configurations whose
-    edge elements are floor(u |G|) of uniforms u, then their amplitudes from
-    _normals; a configuration drawn twice keeps its last amplitude.  A seed
-    that is negative or no integer raises GaugeError.
+    Each sample draws, from the stream of seed (see group_engine._seeded),
+    a 40 x E array of edge elements, then 40 amplitudes from _normals; a
+    configuration drawn twice keeps its last amplitude.  A seed that is
+    negative or no integer raises GaugeError.
     """
     if samples < 1:
         raise GaugeError(f"samples must be at least 1, got {samples}")
@@ -523,13 +523,12 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
     if samples * block - 1 > np.iinfo(np.int64).max:
         raise GaugeError(f"{samples} samples of {G.order}^{lat.n_edges} configurations "
                          "do not fit int64 codes")
-    rng = _seeded(seed, GaugeError)
+    rng = _seeded(seed, error=GaugeError)
     codes, coeffs = [], []
     for k in range(samples):
-        configs = [tuple(int(rng.random() * G.order) for _ in range(lat.n_edges))
-                   for _ in range(40)]
+        configs = rng.integers(G.order, (40, lat.n_edges)).tolist()
         z = _normals(rng, 2, 40)
-        s = GaugeState(G, lat, zip(configs, z[0] + 1j * z[1])).normalized()
+        s = GaugeState(G, lat, zip(map(tuple, configs), z[0] + 1j * z[1])).normalized()
         codes.append(s.codes + k * block)
         coeffs.append(s.coeffs)
     batch = s._like(np.concatenate(codes), np.concatenate(coeffs))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import random
 from array import array
 from dataclasses import dataclass, field
 from importlib import resources
@@ -46,26 +45,71 @@ class GroupError(RuntimeError):
     pass
 
 
-def _seeded(seed, error=GroupError) -> random.Random:
-    """random.Random(seed) for an integer seed >= 0; error otherwise.
+# SplitMix64's increment, the odd 64-bit word nearest 2^64 / golden ratio
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 
-    Random(-s) seeds the same stream as Random(s), so a negative seed would
-    silently repeat another one.
+
+def _fmix64(x):
+    """SplitMix64's finaliser, a bijection of 64-bit words, on a Python int or
+    elementwise on a uint64 array (whose products wrap without a warning)."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+class _Stream:
+    """A counter-based stream (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC 2011): draw i is _fmix64(key + i gamma mod 2^64),
+    SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014), with i
+    counting the draws made so far.  random and integers take the arguments
+    of numpy's Generator methods of the same name, minus their options.
+    """
+
+    def __init__(self, key: int):
+        self.key, self.count = np.uint64(key), 0
+
+    def random(self, size) -> np.ndarray:
+        """Uniforms (x >> 11) 2^-53 in [0, 1), shaped like size."""
+        shape = (size,) if isinstance(size, numbers.Integral) else tuple(size)
+        n = math.prod(shape)
+        counter = np.arange(self.count, self.count + n, dtype=np.uint64)
+        self.count += n
+        x = _fmix64(counter * np.uint64(_GAMMA) + self.key)
+        return (x >> np.uint64(11)).astype(np.float64).reshape(shape) * 2.0 ** -53
+
+    def integers(self, m: int, size) -> np.ndarray:
+        """floor(u m) of uniforms u: integers in 0..m-1 for 1 <= m <= 2^53,
+        where u m rounds below m since u <= 1 - 2^-53."""
+        return (self.random(size) * m).astype(np.int64)
+
+
+def _seeded(seed, *key: int, error=GroupError) -> _Stream:
+    """The stream keyed by (seed, key...) for an integer seed >= 0; error otherwise.
+
+    The key chains _fmix64 over the number of parts, then per part its number
+    of 64-bit limbs and the limbs, so (s, 3) and (s, 3, 0) differ and a seed
+    of any size keys its own stream.  The key parts are integers >= 0; a
+    negative seed is refused, since its two's-complement limb would key the
+    stream of a seed below 2^64.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise error(f"seed must be an integer >= 0, got {seed!r}")
-    return random.Random(int(seed))
+    parts = [int(seed), *key]
+    words = [len(parts)]
+    for part in parts:
+        limbs = max(1, -(-part.bit_length() // 64))
+        words += [limbs, *((part >> (64 * i)) & _MASK for i in range(limbs))]
+    h = 0
+    for word in words:
+        h = _fmix64(((h + _GAMMA) & _MASK) ^ word)
+    return _Stream(h)
 
 
-def _normals(rng: random.Random, *shape: int) -> np.ndarray:
-    """Standard normals of the given shape from rng.random(), by Box-Muller:
-    sqrt(-2 log(1 - u1)) cos(2 pi u2) per consecutive pair of uniforms.
-
-    rng.random() is the one stdlib stream that Python keeps the same across
-    versions, and a few hundred scalar draws do not pay for importing
-    numpy.random.
-    """
-    u = np.array([rng.random() for _ in range(2 * math.prod(shape))]).reshape(*shape, 2)
+def _normals(rng: _Stream, *shape: int) -> np.ndarray:
+    """Standard normals of the given shape from rng.random, by Box-Muller:
+    sqrt(-2 log(1 - u1)) cos(2 pi u2) per consecutive pair of uniforms."""
+    u = rng.random((*shape, 2))
     return np.sqrt(-2 * np.log1p(-u[..., 0])) * np.cos(2 * np.pi * u[..., 1])
 
 
@@ -355,8 +399,9 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
     its traces are the character.  One eigenspace per distinct character is
     kept.  A draw whose eigenspaces are not all irreducible, or whose
     characters are not an orthonormal basis of class functions, is redrawn.
-    The real and imaginary parts of f come from _normals on random.Random(0),
-    so the irreps, and the basis of each, are the same in every process.
+    The real and imaginary parts of f come from _normals on the stream of
+    seed 0, so the irreps, and the basis of each, are the same in every
+    process.
     """
     if G._irreps is not None:
         return G._irreps
@@ -365,7 +410,7 @@ def irreps(G: FiniteGroup) -> list[Irrep]:
         raise GroupError(f"{k} conjugacy classes: character tables stop at {MAX_CLASSES}")
     keys = G.mult[G.inv]  # keys[x, y] = x^-1 y, so C[keys[g]] = L_g C
     sizes = np.array([len(c) for c in G.classes], dtype=np.float64)
-    rng = random.Random(0)  # fixed: the irreps are cached on G
+    rng = _seeded(0)  # fixed: the irreps are cached on G
     for _ in range(_MAX_RETRIES):
         z = _normals(rng, 2, n)
         a = z[0] + 1j * z[1]
@@ -493,8 +538,8 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     complex dim x m matrix Z, is an orthonormal basis q_1..q_m of range(p_11),
     and column (a, b) of V is p_b1 q_a.  Every p_b1 is one contraction of
     sigma's (|G|, d_sigma^2) table with psi's (|G|, m^2) table.  The real and
-    imaginary parts of Z come from _normals on random.Random(seed); a seed
-    that is negative or no integer raises GroupError.
+    imaginary parts of Z come from _normals on the stream of seed (see
+    _seeded); a seed that is negative or no integer raises GroupError.
 
     A draw is redrawn when p_11 Z is rank-deficient (s_min <= 1e-8 s_max) or
     V misses the intertwining relation by more than 1e-8 on a generator;

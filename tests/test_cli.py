@@ -457,10 +457,10 @@ def test_cli_import_leaves_sympy_out():
     assert done.stdout.strip() == "False"
 
 
-def test_gauge_path_leaves_numpy_ma_out(tmp_path):
-    # plain np.unique imports numpy.ma; the gauge path and the group tables
-    # avoid it.  derive-r, verify-r and gauge-check take their few draws from
-    # random.Random, so numpy.random stays out of them too.
+def test_no_subcommand_loads_numpy_random_or_numpy_ma(tmp_path):
+    # every draw comes from group_engine's own stream, so importing
+    # numpy.random (10-14 ms) is pure start-up cost; plain np.unique imports
+    # numpy.ma, which the gauge path and the group tables avoid
     import parastat
 
     src = Path(parastat.__file__).resolve().parents[1]
@@ -473,6 +473,9 @@ def test_gauge_path_leaves_numpy_ma_out(tmp_path):
         ["gauge-check", "--group", "D4", "--patch", "ladder"],
         ["derive-r", "--out-r", str(tmp_path / "r.json")],
         ["verify-r", "--builtin", "paper3d"],
+        ["simulate", "--builtin", "paper3d", "--all-pairs"],
+        ["twist", "--builtin", "braid-fixture", "--trials", "100"],
+        ["noise-sweep", "--builtin", "paper3d", "--trials", "50"],
     )]
     probes.append("import sys, parastat.group_engine as ge\n"
                   "ge.enumerate_group(ge.gamma_presentation())\n"

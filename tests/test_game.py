@@ -50,6 +50,25 @@ class TestConfig:
             with pytest.raises(gm.GameError, match="trials must be >= 1"):
                 run(trials)
 
+    @pytest.mark.parametrize("sweep", ("guessing", "twist", "noise", "config"))
+    def test_seed_that_is_negative_or_no_integer_rejected(self, sweep):
+        # numpy's seeding raised a bare ValueError for -1 and TypeError for 2.5
+        r = rm.paper_r(+1)
+        run = {"guessing": lambda s: gm.guessing_trials(r, 10, seed=s),
+               "twist": lambda s: gm.twist_experiment(r, [0, 1], 10, seed=s),
+               "noise": lambda s: gm.noise_experiment(r, 10, seed=s),
+               "config": lambda s: gm.GameConfig(L=18, r=r, a=1, b=1, seed=s)}[sweep]
+        for seed in (-1, 2.5, "3", None):
+            with pytest.raises(gm.GameError, match="seed must be an integer >= 0"):
+                run(seed)
+
+    def test_seed_beyond_64_bits_plays(self):
+        r, seed = rm.paper_r(+1), 2 ** 64 + 1
+        assert gm.guessing_trials(r, 100, seed=seed) == 1.0
+        assert gm.twist_experiment(r, [0, 1], 100, seed=seed)["success_rate"] == 1.0
+        assert gm.noise_experiment(r, 100, seed=seed)[-1]["success_rate"] == 1.0
+        assert gm.run_protocol(gm.GameConfig(L=18, r=r, a=2, b=3, seed=seed))[1].success
+
 
 class TestDecode:
     def test_worked_example(self):
@@ -314,7 +333,7 @@ def reference_noise_experiment(r, trials, seed, p=0.0, noise_d=1, noise_l=2):
     alice, bob = gm._decode_tables(r)
     results = []
     for dist in range(noise_l + 3):
-        rng = gm._rng(seed, 3, dist)
+        rng = np.random.default_rng((seed, 3, dist))
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
         hit = rng.random((gm.NOISE_EXPOSURE, 2, trials)) < p

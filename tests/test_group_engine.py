@@ -1,8 +1,9 @@
 import hashlib
 import json
-import random
+import math
 import time
 import tracemalloc
+import warnings
 from itertools import permutations, product
 from pathlib import Path
 
@@ -180,18 +181,59 @@ def _patch_zero_draws(monkeypatch, zeros):
     monkeypatch.setattr(ge, "_normals", normals)
 
 
-def test_normals_stream_is_pinned():
-    # random.Random(0) gives these uniforms, and these Box-Muller normals in
-    # pure Python, on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0
-    rng = random.Random(0)
-    assert [rng.random() for _ in range(4)] == [
-        0.8444218515250481, 0.7579544029403025, 0.420571580830845, 0.25891675029296335]
-    z = ge._normals(random.Random(0), 4)
-    assert z.shape == (4,)
-    pinned = [0.09637157846515239, -0.05850007947614822, -0.9894262130739009,
-              -0.5753580276639962]
-    assert np.max(np.abs(z - pinned)) <= 1e-15
-    assert np.array_equal(ge._normals(random.Random(0), 2, 2), z.reshape(2, 2))
+class TestStream:
+    def test_stream_is_pinned(self):
+        # the first draws of seed 0, computed from the definition with Python
+        # ints and math.log1p / math.cos
+        assert ge._seeded(0).random(4).tolist() == [
+            0.797333289454775, 0.8610747444404275, 0.5850084024151584, 0.15622854380275053]
+        z = ge._normals(ge._seeded(0), 4)
+        assert z.shape == (4,)
+        pinned = [1.1481716820512045, 0.7369851897430915, -0.06463410605664124,
+                  -0.48112993268442933]
+        assert np.max(np.abs(z - pinned)) <= 1e-15
+        assert np.array_equal(ge._normals(ge._seeded(0), 2, 2), z.reshape(2, 2))
+
+    def test_draws_continue_the_counter(self):
+        rng = ge._seeded(7, 1)
+        parts = [rng.random(3), rng.random((2, 2)).ravel(), rng.random(0), rng.random(1)]
+        assert np.array_equal(np.concatenate(parts), ge._seeded(7, 1).random(8))
+
+    def test_keys_differing_in_value_order_or_length_differ(self):
+        keys = [(0,), (1,), (5, 3), (3, 5), (5, 3, 0), (5, 0, 3), (5,), (2 ** 64 + 5,),
+                (2 ** 64, 5), (0, 1 + 5 * 2 ** 64), (0, 1, 5), (2 ** 128,)]
+        streams = {tuple(ge._seeded(*key).random(4).tolist()) for key in keys}
+        assert len(streams) == len(keys)
+        assert np.array_equal(ge._seeded(5, 3).random(4), ge._seeded(5, 3).random(4))
+
+    def test_no_overflow_warning(self):
+        # pytest already turns warnings into errors; numpy scalar (not array)
+        # uint64 products would warn on the wraps every draw makes
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rng = ge._seeded(2 ** 64 + 1, 3, 2 ** 70)
+            for n in (1, 0, 1000):
+                rng.random(n), rng.integers(128, n), ge._normals(rng, n)
+            assert ge._fmix64(np.array([2 ** 64 - 1], dtype=np.uint64)).dtype == np.uint64
+
+    @pytest.mark.parametrize("m", (1, 3, 16, 128))
+    def test_integers_are_uniform(self, m):
+        # chi-square with m - 1 degrees of freedom: mean m - 1, sigma
+        # sqrt(2 (m - 1)); bound at 5 sigma
+        n = 200_000
+        x = ge._seeded(2024, m).integers(m, n)
+        assert x.dtype == np.int64 and 0 <= x.min() and x.max() < m
+        counts = np.bincount(x, minlength=m)
+        chi2 = float(np.sum((counts - n / m) ** 2 / (n / m)))
+        assert chi2 <= (m - 1) + 5 * math.sqrt(2 * (m - 1))
+
+    def test_normals_have_mean_0_and_variance_1(self):
+        # standard errors: 1 / sqrt(n) for the mean, sqrt(2 / n) for the
+        # variance; bounds at 5 sigma
+        n = 200_000
+        z = ge._normals(ge._seeded(2025), n)
+        assert abs(z.mean()) <= 5 / math.sqrt(n)
+        assert abs(z.var() - 1) <= 5 * math.sqrt(2 / n)
 
 
 class TestCharacters:
@@ -369,7 +411,7 @@ class TestIntertwiner:
 
     @pytest.mark.parametrize("seed", (-3, -1, 1.5, "3", None))
     def test_seed_that_is_negative_or_no_integer_rejected(self, gamma_pair, seed):
-        # random.Random(-3) seeds the stream of random.Random(3)
+        # -3's two's-complement limb would key the stream of seed 2^64 - 3
         with pytest.raises(ge.GroupError, match="seed must be an integer >= 0"):
             ge.solve_intertwiner(*gamma_pair, seed=seed)
 
