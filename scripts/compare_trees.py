@@ -50,6 +50,9 @@ API = {
                             "print(json.dumps([fock_suite.run(s) for s in (1, 2, 3)]))",
     "gauge_ladder.run(4)": "import json, gauge_ladder; print(json.dumps(gauge_ladder.run(4)))",
     "trapping(Z2, S3, D4)": TRAPPING,
+    "guessing_trials(builtins)": "import json; from parastat import game, rmatrix; print(json.dumps("
+                                 "[game.guessing_trials(rmatrix.builtin_r(name), 4000, 2) "
+                                 f"for name in {BUILTINS!r}]))",
 }
 TIMESTAMP = re.compile(rb'^ *"timestamp": "[^"]*",?\n', re.MULTILINE)
 
@@ -73,14 +76,16 @@ def runs():
             yield (f"verify-r {' '.join(tol)} --builtin {name}",
                    ["-m", "parastat.cli", *tol, "verify-r", "--builtin", name], [])
     for extra in (("paper3d", "--all-pairs"), ("paper2d", "--a", "2", "--b", "3"),
-                  ("trivial4", "--all-pairs")):
+                  ("trivial4", "--all-pairs"), ("braid-fixture", "--all-pairs")):
         yield (f"simulate --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "simulate", "--builtin", *extra], [])
     for name in ("paper3d", "braid-fixture"):
         yield f"twist --builtin {name}", ["-m", "parastat.cli", "twist", "--builtin", name], []
+    wide = ("--builtin", "trivial8", "--n-max", "100", "--trials", "20000")
+    yield f"twist {' '.join(wide)}", ["-m", "parastat.cli", "twist", *wide], []
     yield (f"twist --seed {BIG_SEED} --builtin braid-fixture",
            ["-m", "parastat.cli", "--seed", BIG_SEED, "twist", "--builtin", "braid-fixture"], [])
-    for extra in (("paper3d",), ("braid-fixture", "--p", "0.7")):
+    for extra in (("paper3d",), ("braid-fixture", "--p", "0.7"), ("paper3d", "--noise-l", "0")):
         yield (f"noise-sweep --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "noise-sweep", "--builtin", *extra], [])
     yield (f"noise-sweep --seed {BIG_SEED} --builtin paper3d",

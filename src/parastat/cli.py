@@ -282,12 +282,15 @@ def cmd_gauge_check(args) -> int:
 
 # Largest twist --n-max.  twist_experiment keeps three m^2 x m^2 complex128
 # blocks per n (matrix power, states, Bob-slot density matrices): 192 KiB per n
-# at m = rmatrix.MAX_M = 8, about 19 MiB here, plus 9 bytes per trial per n.
+# at m = rmatrix.MAX_M = 8, about 19 MiB here.
 TWIST_N_MAX = 100
-# Largest --trials.  A twist trial keeps its draws and its row of the twist
-# CDF: about 1.7 KiB per trial at --n-max TWIST_N_MAX and m = 8.  A noise-sweep
-# trial keeps its label states, their product and its outcome CDF: about
-# 3.1 KiB at m = 8.  Either bound comes to about 0.9 GiB at worst.
+# Largest --trials.  A twist trial keeps only its draws and the row indices
+# into the shared prior and likelihood tables: about 64 bytes, whatever
+# --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 92 MB
+# RSS at this bound (67 MB with one trial).  A noise-sweep trial within
+# --noise-l keeps its label states, their product and its outcome CDF: about
+# 3 KiB at m = 8, so noise-sweep --builtin trivial8 peaks at 915 MB RSS at
+# this bound.  Beyond --noise-l a trial reads the shared Born table instead.
 TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.

@@ -162,11 +162,19 @@ def _guesses(hits: np.ndarray, m: int, rng) -> np.ndarray:
     return guesses
 
 
-def _draw(probs: np.ndarray, rng) -> np.ndarray:
-    """One inverse-CDF sample of a column index per row of a probability matrix."""
+def _draw(probs: np.ndarray, rng, rows=None) -> np.ndarray:
+    """One inverse-CDF column index per trial from one uniform each: trial t
+    samples row rows[t] of probs (row t when rows is None).  Only probs' rows
+    are cumulated, and CDF entries <= u are counted a column at a time, so a
+    sweep that shares a small table of distinct rows among its trials builds
+    no trials x columns array."""
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf <= rng.random(len(cdf))[:, None], axis=1)
+    u = rng.random(len(cdf) if rows is None else len(rows))
+    k = np.zeros(len(u), dtype=np.intp)
+    for col in cdf.T:
+        k += (col if rows is None else col[rows]) <= u
+    return k
 
 
 def mutual_information(r: RMatrix) -> dict:
@@ -214,8 +222,13 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     demonstrate referee soundness.  GameError unless R is unitary, as in
     every sweep.
     """
+    return _play(cfg, _decode_tables(cfg.r), mutual_information(cfg.r), inject_stray)
+
+
+def _play(cfg: GameConfig, tables: np.ndarray, info: dict, inject_stray: bool = False):
+    """The game of run_protocol, given R's decode tables and the
+    mutual_information dict to report."""
     r = cfg.r
-    _unitary_map(r)
     o, s = 1, cfg.L  # the corner sites
     tr = Transcript()
     rng = _rng(cfg.seed, 0x6A6D)
@@ -271,8 +284,7 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
 
     if not checks_ok:
         tr.verdict = "challenge failed"
-        report = OutcomeReport(False, None, None, {(cfg.a, cfg.b): 0},
-                               mutual_information(r))
+        report = OutcomeReport(False, None, None, {(cfg.a, cfg.b): 0}, info)
         return tr, report
 
     # Alice measures at the far corner (back), Bob at the near one (front)
@@ -285,7 +297,7 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
     tr.log("measure", corner="s", outcome=a_prime)
     tr.log("measure", corner="o", outcome=b_prime)
 
-    alice, bob = _decode_tables(r)
+    alice, bob = tables
     hits = np.array([alice[cfg.a - 1, a_prime - 1], bob[cfg.b - 1, b_prime - 1]])
     alice_guess, bob_guess = _guesses(hits, r.m, rng).tolist()
     tr.alice_guess, tr.bob_guess = alice_guess, bob_guess
@@ -299,8 +311,7 @@ def run_protocol(cfg: GameConfig, inject_stray: bool = False):
 
     win = vacuum_ok and alice_guess == cfg.b and bob_guess == cfg.a
     tr.verdict = "win" if win else "lose"
-    report = OutcomeReport(win, a_prime, b_prime, {(cfg.a, cfg.b): int(win)},
-                           mutual_information(r))
+    report = OutcomeReport(win, a_prime, b_prime, {(cfg.a, cfg.b): int(win)}, info)
     return tr, report
 
 
@@ -314,23 +325,30 @@ def run_all_pairs(base: GameConfig):
 
     Games are played one at a time as the caller asks for them, so a caller
     that keeps only report.success_table holds one transcript at a time.
+    The games share what depends on R alone: it is checked for unitarity
+    (GameError before the first game) and its decode tables and mutual
+    information are built once.  Each report gets its own copy of the
+    mutual_information_bits dict.
     """
-    m = base.r.m
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            yield run_protocol(replace(base, a=a, b=b))
+    r = base.r
+    info = mutual_information(r)  # GameError unless R is unitary
+    tables = _decode_tables(r)
+    for a in range(1, r.m + 1):
+        for b in range(1, r.m + 1):
+            yield _play(replace(base, a=a, b=b), tables, dict(info))
 
 
 # ---------------------------------------------------------------------------
 # fast trial sweeps (exchange outcome only; transport validated separately)
 
 
-def _wins(r: RMatrix, a: np.ndarray, b: np.ndarray, probs: np.ndarray, rng) -> int:
+def _wins(r: RMatrix, a: np.ndarray, b: np.ndarray, probs: np.ndarray, rng,
+          rows=None) -> int:
     """Trials won.  Trial t has secrets a[t], b[t] (0-based) and draws its
-    outcome b' * m + a' from row t of probs; it is won when both players
-    name the partner's secret."""
+    outcome b' * m + a' from row rows[t] of probs (row t when rows is None,
+    as in _draw); it is won when both players name the partner's secret."""
     m = r.m
-    bp, ap = np.divmod(_draw(probs, rng), m)
+    bp, ap = np.divmod(_draw(probs, rng, rows), m)
     alice, bob = _decode_tables(r)
     ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
     return int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
@@ -348,7 +366,7 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     rng = _rng(seed, 1)
     a = rng.integers(m, size=trials)
     b = rng.integers(m, size=trials)
-    return _wins(r, a, b, _outcome_probs(r)[a * m + b], rng) / trials
+    return _wins(r, a, b, _outcome_probs(r), rng, a * m + b) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +380,8 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     Bob measures his slot and infers Alice's number by maximum likelihood
     over the uniform prior on (a, n), without knowing n.  For involutive R
     the twists are invisible; for genuinely braiding R they scramble.
+    The trials share two tables: n is drawn from the one prior row, and Bob's
+    outcome from the m^2 |support| rows of his likelihoods p(k | a, b, n).
     """
     if trials < 1:
         raise GameError("trials must be >= 1")
@@ -396,8 +416,8 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     rng = _rng(seed, 2)
     a = rng.integers(m, size=trials)
     b = rng.integers(m, size=trials)
-    n_idx = _draw(np.broadcast_to(probs, (trials, len(ns))), rng)
-    k = _draw(bob_like[a, b, n_idx], rng)
+    n_idx = _draw(probs[None], rng, np.zeros(trials, dtype=np.intp))
+    k = _draw(bob_like.reshape(-1, m), rng, (a * m + b) * len(ns) + n_idx)
     return {
         "success_rate": int(np.count_nonzero(guess[b, k] == a)) / trials,
         "rho_b_n_deviation": rho_dev,
@@ -442,7 +462,9 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     q = 1 - (1 - p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
     unitaries is Haar and takes a fixed state to a uniform unit vector of C^m,
     so a scrambled label is drawn as one normalized complex Gaussian vector:
-    exact in distribution.
+    exact in distribution.  Beyond noise_l the labels stay basis states, and
+    the trials of a distance draw from the shared Born table _outcome_probs at
+    row a * m + b.
     """
     if not 0.0 <= p <= 1.0:
         raise GameError("noise rate must be a probability")
@@ -452,6 +474,7 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         raise GameError("trials must be >= 1")
     m = r.m
     mat = _unitary_map(r)
+    born = _outcome_probs(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
     q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
     results = []
@@ -459,17 +482,19 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         rng = _rng(seed, 3, dist)
         a = rng.integers(m, size=trials)
         b = rng.integers(m, size=trials)
-        # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
-        labels = np.zeros((2, trials, m), dtype=np.complex128)
-        labels[0, np.arange(trials), a] = 1.0
-        labels[1, np.arange(trials), b] = 1.0
-        if dist <= noise_l:
+        if dist > noise_l:
+            wins = _wins(r, a, b, born, rng, a * m + b)
+        else:
+            # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
+            labels = np.zeros((2, trials, m), dtype=np.complex128)
+            labels[0, np.arange(trials), a] = 1.0
+            labels[1, np.arange(trials), b] = 1.0
             scrambled = rng.random((2, trials)) < q
             z = _normals(rng, 2, np.count_nonzero(scrambled), m)
             z = z[0] + 1j * z[1]
             labels[scrambled] = z / np.linalg.norm(z, axis=1, keepdims=True)
-        psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
-        wins = _wins(r, a, b, np.abs(psi @ mat.T) ** 2, rng)
+            psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
+            wins = _wins(r, a, b, np.abs(psi @ mat.T) ** 2, rng)
         results.append({"distance": dist, "success_rate": wins / trials})
     return results
 

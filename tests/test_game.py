@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,12 +235,66 @@ class TestProtocol:
                 checks += 1
         assert checks >= moves // gm.CHECK_CADENCE
 
+    @pytest.mark.parametrize("name", ("paper3d", "trivial4", "braid-fixture"))
+    def test_all_pairs_match_single_games(self, base_cfg, name):
+        base = replace(base_cfg, r=rm.builtin_r(name), a=1, b=1)
+        games = list(gm.run_all_pairs(base))
+        pairs = [(a, b) for a in range(1, base.r.m + 1) for b in range(1, base.r.m + 1)]
+        assert len(games) == len(pairs)
+        for (a, b), (tr, rep) in zip(pairs, games):
+            ref_tr, ref_rep = gm.run_protocol(replace(base, a=a, b=b))
+            assert tr.as_dict() == ref_tr.as_dict(), (a, b)
+            assert rep.as_dict() == ref_rep.as_dict(), (a, b)
+        games[0][1].mutual_information_bits["alice_bits"] = -1.0
+        info = gm.mutual_information(base.r)
+        assert all(rep.mutual_information_bits == info for _, rep in games[1:])
+
+    def test_all_pairs_rejects_non_unitary_before_playing(self, base_cfg, monkeypatch):
+        monkeypatch.setattr(gm, "_play", lambda *args: pytest.fail("a game was played"))
+        doubled = rm.RMatrix(2 * rm.paper_r(+1).entries)
+        with pytest.raises(gm.GameError, match="not unitary"):
+            next(gm.run_all_pairs(replace(base_cfg, r=doubled)))
+
     def test_report_serializes(self, base_cfg):
         _, rep = gm.run_protocol(base_cfg)
         d = rep.as_dict()
         assert d["success"] is True
         assert d["success_table"]["2,4"] == 1
         assert d["mutual_information_bits"]["alice_bits"] == pytest.approx(2.0)
+
+
+def reference_draw(probs, rng, rows=None):
+    """_draw as it was: gather the trials x columns matrix, then cumulate it."""
+    full = probs if rows is None else probs[rows]
+    cdf = np.cumsum(full, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= rng.random(len(cdf))[:, None], axis=1)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_match_gathered_reference(self, seed):
+        table_rng = np.random.default_rng(seed)
+        probs = table_rng.random((6, 7)) * (table_rng.random((6, 7)) < 0.6)
+        probs[:, 0] += 1e-3  # no row all zero
+        rows = table_rng.integers(6, size=500)
+        cases = ((probs, rows), (probs[2:3], np.zeros(300, dtype=np.intp)), (probs, None))
+        for table, idx in cases:
+            new, ref = gm._rng(seed, 9), gm._rng(seed, 9)
+            assert np.array_equal(gm._draw(table, new, idx), reference_draw(table, ref, idx))
+            assert new.count == ref.count == (len(table) if idx is None else len(idx))
+
+
+# Values the sweeps returned before they drew from shared row tables: the
+# seeded outputs are pinned, not only their statistics.
+def test_seeded_sweeps_are_pinned():
+    assert gm.guessing_trials(rm.trivial_r(4, +1), 4000, seed=2) == 0.0615
+    twist = gm.twist_experiment(rm.braid_fixture(), range(8), 10000, 11)
+    assert twist["success_rate"] == 0.497
+    curve = gm.noise_experiment(rm.paper_r(+1), 2000, 11, 0.2)
+    assert [row["success_rate"] for row in curve] == [0.4535, 0.459, 0.4735, 1.0, 1.0]
+    curve = gm.noise_experiment(rm.braid_fixture(), 2000, 11, 0.2)
+    assert [row["success_rate"] for row in curve] == [0.2365, 0.2355, 0.2435, 0.2425, 0.2535]
 
 
 class TestTrials:
