@@ -81,11 +81,14 @@ def runs():
                ["-m", "parastat.cli", "simulate", "--builtin", *extra], [])
     for name in ("paper3d", "braid-fixture"):
         yield f"twist --builtin {name}", ["-m", "parastat.cli", "twist", "--builtin", name], []
-    wide = ("--builtin", "trivial8", "--n-max", "100", "--trials", "20000")
-    yield f"twist {' '.join(wide)}", ["-m", "parastat.cli", "twist", *wide], []
+    for extra in (("--builtin", "trivial8", "--n-max", "100", "--trials", "20000"),
+                  ("--builtin", "braid-fixture", "--n-max", "0")):
+        yield f"twist {' '.join(extra)}", ["-m", "parastat.cli", "twist", *extra], []
     yield (f"twist --seed {BIG_SEED} --builtin braid-fixture",
            ["-m", "parastat.cli", "--seed", BIG_SEED, "twist", "--builtin", "braid-fixture"], [])
-    for extra in (("paper3d",), ("braid-fixture", "--p", "0.7"), ("paper3d", "--noise-l", "0")):
+    for extra in (("paper3d",), ("braid-fixture", "--p", "0.7"), ("paper3d", "--noise-l", "0"),
+                  ("trivial8", "--trials", "20000", "--p", "0.01"),
+                  ("trivial4", "--p", "1.0", "--noise-d", "0")):
         yield (f"noise-sweep --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "noise-sweep", "--builtin", *extra], [])
     yield (f"noise-sweep --seed {BIG_SEED} --builtin paper3d",

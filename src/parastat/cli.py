@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_twist(args) -> int:
     r, inputs = _load_r(args)
-    result = game.twist_experiment(r, range(args.n_max + 1), args.trials, args.seed)
+    result = game.twist_experiment(r, args.n_max, args.trials, args.seed)
     payload = {
         "manifest": _manifest(args, inputs),
         "success_rate": result["success_rate"],
@@ -287,10 +287,12 @@ TWIST_N_MAX = 100
 # Largest --trials.  A twist trial keeps only its draws and the row indices
 # into the shared prior and likelihood tables: about 64 bytes, whatever
 # --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 92 MB
-# RSS at this bound (67 MB with one trial).  A noise-sweep trial within
-# --noise-l keeps its label states, their product and its outcome CDF: about
-# 3 KiB at m = 8, so noise-sweep --builtin trivial8 peaks at 915 MB RSS at
-# this bound.  Beyond --noise-l a trial reads the shared Born table instead.
+# RSS at this bound (67 MB with one trial).  A noise-sweep trial reads the
+# shared Born table; within --noise-l a trial with a scrambled label, a share
+# 1 - (1 - q)^2 of them, keeps its label states, their product and its own
+# outcome row: about 3 KiB at m = 8.  noise-sweep --builtin trivial8 peaks at
+# 707 MB RSS at this bound and the default --p 0.2, 177 MB at --p 0.02, and
+# 959 MB at --p 1 --noise-d 0, where every label is scrambled.
 TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.

@@ -17,13 +17,14 @@ happens.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import parafock as pf
 from .group_engine import _normals, _seeded
-from .rmatrix import RMatrix, _whole, as_map
+from .rmatrix import RMatrix, as_map
 
 
 # The referee checks both windows after every CHECK_CADENCE-th move.
@@ -162,18 +163,17 @@ def _guesses(hits: np.ndarray, m: int, rng) -> np.ndarray:
     return guesses
 
 
-def _draw(probs: np.ndarray, rng, rows=None) -> np.ndarray:
+def _draw(probs: np.ndarray, rng, rows) -> np.ndarray:
     """One inverse-CDF column index per trial from one uniform each: trial t
-    samples row rows[t] of probs (row t when rows is None).  Only probs' rows
-    are cumulated, and CDF entries <= u are counted a column at a time, so a
-    sweep that shares a small table of distinct rows among its trials builds
-    no trials x columns array."""
+    samples row rows[t] of probs.  Only probs' rows are cumulated, and CDF
+    entries <= u are counted a column at a time, so trials that share a small
+    table of distinct rows build no trials x columns array."""
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(len(cdf) if rows is None else len(rows))
+    u = rng.random(len(rows))
     k = np.zeros(len(u), dtype=np.intp)
     for col in cdf.T:
-        k += (col if rows is None else col[rows]) <= u
+        k += col[rows] <= u
     return k
 
 
@@ -317,7 +317,7 @@ def _play(cfg: GameConfig, tables: np.ndarray, info: dict, inject_stray: bool = 
 
 def _sample(dist: dict, rng) -> int:
     keys = sorted(dist)
-    return keys[int(_draw(np.array([[dist[k] for k in keys]]), rng)[0])]
+    return keys[int(_draw(np.array([[dist[k] for k in keys]]), rng, [0])[0])]
 
 
 def run_all_pairs(base: GameConfig):
@@ -342,14 +342,38 @@ def run_all_pairs(base: GameConfig):
 # fast trial sweeps (exchange outcome only; transport validated separately)
 
 
-def _wins(r: RMatrix, a: np.ndarray, b: np.ndarray, probs: np.ndarray, rng,
-          rows=None) -> int:
-    """Trials won.  Trial t has secrets a[t], b[t] (0-based) and draws its
-    outcome b' * m + a' from row rows[t] of probs (row t when rows is None,
-    as in _draw); it is won when both players name the partner's secret."""
-    m = r.m
+def _wins(born: np.ndarray, tables: np.ndarray, trials: int, rng, mat=None,
+          q=None) -> int:
+    """Trials won out of trials, given R's Born table _outcome_probs and decode
+    tables _decode_tables.  Trial t draws secrets a[t], b[t] (0-based), then
+    its outcome b' * m + a' from Born row a[t] * m + b[t]; it is won when both
+    players name the partner's secret.
+
+    With a scramble probability q (and R's map mat) each label is first
+    replaced, with probability q, by a uniform unit vector of C^m.  Only the
+    trials with a scrambled label get rows of their own, |mat psi|^2 for
+    their product state psi, appended below the Born table: an unscrambled
+    trial's row would equal its Born row.
+    """
+    m = tables.shape[1]
+    a = rng.integers(m, size=trials)
+    b = rng.integers(m, size=trials)
+    probs, rows = born, a * m + b
+    if q is not None:
+        scrambled = rng.random((2, trials)) < q
+        z = _normals(rng, 2, np.count_nonzero(scrambled), m)
+        z = z[0] + 1j * z[1]
+        hit = np.flatnonzero(scrambled.any(axis=0))
+        # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
+        labels = np.zeros((2, len(hit), m), dtype=np.complex128)
+        labels[0, np.arange(len(hit)), a[hit]] = 1.0
+        labels[1, np.arange(len(hit)), b[hit]] = 1.0
+        labels[scrambled[:, hit]] = z / np.linalg.norm(z, axis=1, keepdims=True)
+        psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(len(hit), m * m)
+        probs = np.concatenate([born, np.abs(psi @ mat.T) ** 2])
+        rows[hit] = len(born) + np.arange(len(hit))
     bp, ap = np.divmod(_draw(probs, rng, rows), m)
-    alice, bob = _decode_tables(r)
+    alice, bob = tables
     ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
     return int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
 
@@ -362,41 +386,37 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     """
     if trials < 1:
         raise GameError("trials must be >= 1")
-    m = r.m
     rng = _rng(seed, 1)
-    a = rng.integers(m, size=trials)
-    b = rng.integers(m, size=trials)
-    return _wins(r, a, b, _outcome_probs(r), rng, a * m + b) / trials
+    return _wins(_outcome_probs(r), _decode_tables(r), trials, rng) / trials
 
 
 # ---------------------------------------------------------------------------
 # anti-anyon twist
 
 
-def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
-    """Exchange repeated 2n+1 times, n drawn from twist_dist: a dict {n: weight}
-    or an iterable of n, drawn uniformly.  Each n is an integer >= 0.
+def twist_experiment(r: RMatrix, n_max: int, trials: int, seed: int) -> dict:
+    """Exchange repeated 2n+1 times, n drawn uniformly from 0..n_max.
 
     Bob measures his slot and infers Alice's number by maximum likelihood
     over the uniform prior on (a, n), without knowing n.  For involutive R
     the twists are invisible; for genuinely braiding R they scramble.
     The trials share two tables: n is drawn from the one prior row, and Bob's
-    outcome from the m^2 |support| rows of his likelihoods p(k | a, b, n).
+    outcome from the m^2 (n_max + 1) rows of his likelihoods p(k | a, b, n).
     """
     if trials < 1:
         raise GameError("trials must be >= 1")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise GameError(f"n_max must be an integer >= 0, got {n_max!r}")
     mat = _unitary_map(r)
     m = r.m
-    ns, probs = _twist_support(twist_dist)
+    ns = list(range(n_max + 1))
+    probs = np.full(len(ns), 1.0 / len(ns))
+    probs /= probs.sum()
 
-    # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot);
-    # only the powers of n in the support are kept
-    powers, power, wanted = [], mat, set(ns)
-    for n in range(max(ns) + 1):
-        if n:
-            power = power @ mat @ mat
-        if n in wanted:
-            powers.append(power)
+    # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot)
+    powers = [mat]
+    for _ in range(n_max):
+        powers.append(powers[-1] @ mat @ mat)
     # column a*m + b of M^(2n+1) is its image of |a> x |b>
     states = np.stack(powers).reshape(len(ns), m, m, m, m)
     states = states.transpose(3, 4, 0, 1, 2)
@@ -426,23 +446,6 @@ def twist_experiment(r: RMatrix, twist_dist, trials: int, seed: int) -> dict:
     }
 
 
-def _twist_support(twist_dist):
-    try:  # a dict iterates over its keys, and twist_dist[2] finds a key 2.0
-        ns = sorted(set(_whole(n) for n in twist_dist))
-    except TypeError as exc:
-        raise GameError(f"twist support must hold integers n: {exc}") from exc
-    if isinstance(twist_dist, dict):
-        probs = np.array([twist_dist[n] for n in ns], dtype=float)
-    else:
-        probs = np.full(len(ns), 1.0 / max(len(ns), 1))  # an empty support is rejected below
-    if not ns or ns[0] < 0:
-        raise GameError("twist support must be a nonempty set of n >= 0")
-    total = probs.sum()
-    if not (np.all(probs >= 0) and 0 < total < np.inf):
-        raise GameError("twist weights must be finite, nonnegative and not all zero")
-    return ns, probs / total
-
-
 # ---------------------------------------------------------------------------
 # noise
 
@@ -462,9 +465,10 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     q = 1 - (1 - p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
     unitaries is Haar and takes a fixed state to a uniform unit vector of C^m,
     so a scrambled label is drawn as one normalized complex Gaussian vector:
-    exact in distribution.  Beyond noise_l the labels stay basis states, and
-    the trials of a distance draw from the shared Born table _outcome_probs at
-    row a * m + b.
+    exact in distribution.  Every distance draws from the one Born table
+    _outcome_probs, at row a * m + b; within noise_l a trial with a scrambled
+    label reads a row of its own appended below it (see _wins), so memory
+    grows with the scrambled share 1 - (1 - q)^2 of the trials.
     """
     if not 0.0 <= p <= 1.0:
         raise GameError("noise rate must be a probability")
@@ -472,31 +476,14 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         raise GameError("noise range and shielding distance must be >= 0")
     if trials < 1:
         raise GameError("trials must be >= 1")
-    m = r.m
     mat = _unitary_map(r)
-    born = _outcome_probs(r)
+    born, tables = np.abs(mat).T ** 2, _decode_tables(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
     q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
-    results = []
-    for dist in range(noise_l + 3):
-        rng = _rng(seed, 3, dist)
-        a = rng.integers(m, size=trials)
-        b = rng.integers(m, size=trials)
-        if dist > noise_l:
-            wins = _wins(r, a, b, born, rng, a * m + b)
-        else:
-            # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
-            labels = np.zeros((2, trials, m), dtype=np.complex128)
-            labels[0, np.arange(trials), a] = 1.0
-            labels[1, np.arange(trials), b] = 1.0
-            scrambled = rng.random((2, trials)) < q
-            z = _normals(rng, 2, np.count_nonzero(scrambled), m)
-            z = z[0] + 1j * z[1]
-            labels[scrambled] = z / np.linalg.norm(z, axis=1, keepdims=True)
-            psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(trials, m * m)
-            wins = _wins(r, a, b, np.abs(psi @ mat.T) ** 2, rng)
-        results.append({"distance": dist, "success_rate": wins / trials})
-    return results
+    return [{"distance": dist,
+             "success_rate": _wins(born, tables, trials, _rng(seed, 3, dist), mat,
+                                   q if dist <= noise_l else None) / trials}
+            for dist in range(noise_l + 3)]
 
 
 # ---------------------------------------------------------------------------
