@@ -405,8 +405,12 @@ def twist_experiment(r: RMatrix, n_max: int, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise GameError("trials must be >= 1")
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise GameError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise GameError(f"n_max must be an integer >= 0, got {n_max!r}: "
+                        "the twist counts are integers")
+    if n_max < 0:
+        raise GameError(f"n_max must be an integer >= 0, got {n_max!r}: "
+                        "the twist counts 0..n_max, each n >= 0, must be nonempty")
     mat = _unitary_map(r)
     m = r.m
     ns = list(range(n_max + 1))

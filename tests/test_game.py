@@ -341,10 +341,23 @@ class TestTwist:
         for name, sweep in sweeps.items():
             assert sweep(5) == sweep(5), name
 
-    @pytest.mark.parametrize("n_max", (-1, 1.5, True, "3", None))
-    def test_bad_n_max_rejected(self, n_max):
+    # twist_dist holds the twist arguments; n is drawn from 0..n_max
+    @pytest.mark.parametrize("twist_dist, match", (
+        ({"n_max": -1}, "n >= 0"),  # would read powers[-1], the largest power
+        ({"n_max": -7}, "n >= 0"),
+        ({"n_max": -1}, "nonempty"),  # 0..-1 is empty: would divide by zero
+        ({"n_max": -7}, "nonempty"),
+        ({"n_max": True}, "integers"),  # a bool is no count
+        ({"n_max": None}, "integers"),
+        ({"n_max": 1.5}, "integers"),
+        ({"n_max": "3"}, "integers"),
+        ({"n_max": 1.0}, "integers"),  # integer-valued floats are refused too
+    ))
+    def test_bad_twist_distribution_rejected(self, twist_dist, match):
         with pytest.raises(gm.GameError, match="n_max must be an integer >= 0"):
-            gm.twist_experiment(rm.paper_r(+1), n_max, trials=10, seed=0)
+            gm.twist_experiment(rm.paper_r(+1), trials=10, seed=0, **twist_dist)
+        with pytest.raises(gm.GameError, match=match):
+            gm.twist_experiment(rm.paper_r(+1), trials=10, seed=0, **twist_dist)
 
 
 def reference_noise_experiment(r, trials, seed, p=0.0, noise_d=1, noise_l=2):
