@@ -76,7 +76,9 @@ def runs():
             yield (f"verify-r {' '.join(tol)} --builtin {name}",
                    ["-m", "parastat.cli", *tol, "verify-r", "--builtin", name], [])
     for extra in (("paper3d", "--all-pairs"), ("paper2d", "--a", "2", "--b", "3"),
-                  ("trivial4", "--all-pairs"), ("braid-fixture", "--all-pairs")):
+                  ("trivial4", "--all-pairs"), ("braid-fixture", "--all-pairs"),
+                  ("paper3d", "--L", "7", "--r0", "0", "--all-pairs"),
+                  ("paper3d", "--L", "3", "--r0", "0")):
         yield (f"simulate --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "simulate", "--builtin", *extra], [])
     for name in ("paper3d", "braid-fixture"):
@@ -88,7 +90,8 @@ def runs():
            ["-m", "parastat.cli", "--seed", BIG_SEED, "twist", "--builtin", "braid-fixture"], [])
     for extra in (("paper3d",), ("braid-fixture", "--p", "0.7"), ("paper3d", "--noise-l", "0"),
                   ("trivial8", "--trials", "20000", "--p", "0.01"),
-                  ("trivial4", "--p", "1.0", "--noise-d", "0")):
+                  ("trivial4", "--p", "1.0", "--noise-d", "0"),
+                  ("trivial8", "--trials", "20000", "--p", "1", "--noise-d", "0")):
         yield (f"noise-sweep --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "noise-sweep", "--builtin", *extra], [])
     yield (f"noise-sweep --seed {BIG_SEED} --builtin paper3d",

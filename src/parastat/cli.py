@@ -289,10 +289,11 @@ TWIST_N_MAX = 100
 # --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 92 MB
 # RSS at this bound (67 MB with one trial).  A noise-sweep trial reads the
 # shared Born table; within --noise-l a trial with a scrambled label, a share
-# 1 - (1 - q)^2 of them, keeps its label states, their product and its own
-# outcome row: about 3 KiB at m = 8.  noise-sweep --builtin trivial8 peaks at
-# 707 MB RSS at this bound and the default --p 0.2, 177 MB at --p 0.02, and
-# 959 MB at --p 1 --noise-d 0, where every label is scrambled.
+# 1 - (1 - q)^2 of them, builds its label states, their product, its image and
+# its own outcome row, each freed once the next exists: about 2 KiB at m = 8.
+# noise-sweep --builtin trivial8 peaks at 438 MB RSS at this bound and the
+# default --p 0.2, 117 MB at --p 0.02, and 638 MB at --p 1 --noise-d 0, where
+# every label is scrambled.
 TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.

@@ -141,11 +141,15 @@ def decode(r: RMatrix, who: str, own: int, observed: int) -> tuple[int, int]:
     """Recover the partner's (number, observation) from one's own pair.
 
     Alice holds (a, a') and looks up the unique (b, b') with a nonzero entry
-    at (b', a', a, b); Bob symmetrically.  GameError if R is not deterministic.
+    at (b', a', a, b); Bob symmetrically.  GameError unless own and observed
+    are integers in 1..m, or if R is not deterministic.
     """
     players = ("Alice", "Bob")
     if who not in players:
         raise GameError("who must be Alice or Bob")
+    for name, value in (("own", own), ("observed", observed)):
+        if not isinstance(value, numbers.Integral) or not 1 <= value <= r.m:
+            raise GameError(f"{name} must be an integer in 1..{r.m}, got {value!r}")
     hit = int(_decode_tables(r)[players.index(who), own - 1, observed - 1])
     if hit == -2:
         raise GameError("R not deterministic: an exchange has more than one outcome")
@@ -215,17 +219,17 @@ def _check_windows(state: pf.StateVector, sites, r0: int):
     return True, None
 
 
-def run_protocol(cfg: GameConfig, inject_stray: bool = False):
+def run_protocol(cfg: GameConfig):
     """One full game: create, transport with referee checks, measure, decode.
 
-    inject_stray plants an excitation outside both circles mid-game to
-    demonstrate referee soundness.  GameError unless R is unitary, as in
-    every sweep.
+    A commanded site moves before the step that takes its particle there, so
+    every referee check reads the windows the particles were sent to.
+    GameError unless R is unitary, as in every sweep.
     """
-    return _play(cfg, _decode_tables(cfg.r), mutual_information(cfg.r), inject_stray)
+    return _play(cfg, _decode_tables(cfg.r), mutual_information(cfg.r))
 
 
-def _play(cfg: GameConfig, tables: np.ndarray, info: dict, inject_stray: bool = False):
+def _play(cfg: GameConfig, tables: np.ndarray, info: dict):
     """The game of run_protocol, given R's decode tables and the
     mutual_information dict to report."""
     r = cfg.r
@@ -258,28 +262,21 @@ def _play(cfg: GameConfig, tables: np.ndarray, info: dict, inject_stray: bool = 
         if moves % CHECK_CADENCE == 0:
             referee_check()
 
-    injected = False
     while site_a < s or site_b > o:
-        if inject_stray and not injected and site_b - site_a <= cfg.L // 2:
-            # a stray excitation well outside both circles
-            stray_site = s + cfg.r0 + 2
-            state = pf.create(state, _pos(stray_site), 1, "back")
-            tr.log("inject-stray", site=stray_site)
-            injected = True
         if site_b == site_a + 1:
             # passing maneuver: Alice sidesteps, Bob crosses, Alice resumes
             step(_pos(site_a), _pos(site_a, lane=True))
-            step(_pos(site_b), _pos(site_a))
             site_b = site_a
-            step(_pos(site_a, lane=True), _pos(site_a + 1))
-            site_a = site_a + 1
+            step(_pos(site_a + 1), _pos(site_a))
+            site_a += 1
+            step(_pos(site_b, lane=True), _pos(site_a))
         else:
             if site_a < s and site_a + 1 != site_b:
-                step(_pos(site_a), _pos(site_a + 1))
                 site_a += 1
+                step(_pos(site_a - 1), _pos(site_a))
             if site_b > o and site_b - 1 != site_a:
-                step(_pos(site_b), _pos(site_b - 1))
                 site_b -= 1
+                step(_pos(site_b + 1), _pos(site_b))
     referee_check()
 
     if not checks_ok:
@@ -369,8 +366,14 @@ def _wins(born: np.ndarray, tables: np.ndarray, trials: int, rng, mat=None,
         labels[0, np.arange(len(hit)), a[hit]] = 1.0
         labels[1, np.arange(len(hit)), b[hit]] = 1.0
         labels[scrambled[:, hit]] = z / np.linalg.norm(z, axis=1, keepdims=True)
+        del z  # each per-trial array is released once the next one is built
         psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(len(hit), m * m)
-        probs = np.concatenate([born, np.abs(psi @ mat.T) ** 2])
+        del labels
+        psi = psi @ mat.T
+        own = np.abs(psi)
+        del psi
+        own **= 2
+        probs = np.concatenate([born, own])
         rows[hit] = len(born) + np.arange(len(hit))
     bp, ap = np.divmod(_draw(probs, rng, rows), m)
     alice, bob = tables

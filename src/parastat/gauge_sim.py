@@ -37,6 +37,7 @@ from .group_engine import FiniteGroup, Irrep, _normals, _seeded
 
 PRUNE = 1e-14  # amplitudes at or below this are dropped after a merge
 SUPPORT_CAP = 10 ** 6  # most configurations a state, or one sample of a batch, may hold
+RESIDUAL_SAMPLES = 5  # random test states per commutator_residuals call
 
 
 class GaugeError(RuntimeError):
@@ -501,31 +502,29 @@ def plaquette_expectations(state: GaugeState) -> list[float]:
             for plaq in state.lattice.plaquettes]
 
 
-def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0,
-                         samples: int = 5) -> dict:
-    """Max residuals of projector identities on random test states.
+def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0) -> dict:
+    """Max residuals of projector identities on RESIDUAL_SAMPLES random test states.
 
     Checks idempotence of every vertex/plaquette projector and commutation
     of every (vertex, vertex), (vertex, plaquette) pair by applying both
     orderings to random sparse states (operator matrices for |G|^E
     dimensions are never materialized).  All samples travel in one batch
     state, sample k's codes offset by k |G|^E, so each projector runs once;
-    the support cap and every residual are per sample.
+    the support cap and every residual are per sample.  GaugeError when the
+    batch's codes, up to RESIDUAL_SAMPLES |G|^E - 1, do not fit int64.
 
     Each sample draws, from the stream of seed (see group_engine._seeded),
     a 40 x E array of edge elements, then 40 amplitudes from _normals; a
     configuration drawn twice keeps its last amplitude.  A seed that is
     negative or no integer raises GaugeError.
     """
-    if samples < 1:
-        raise GaugeError(f"samples must be at least 1, got {samples}")
     block = G.order ** lat.n_edges
-    if samples * block - 1 > np.iinfo(np.int64).max:
-        raise GaugeError(f"{samples} samples of {G.order}^{lat.n_edges} configurations "
-                         "do not fit int64 codes")
+    if RESIDUAL_SAMPLES * block - 1 > np.iinfo(np.int64).max:
+        raise GaugeError(f"{RESIDUAL_SAMPLES} samples of {G.order}^{lat.n_edges} "
+                         "configurations do not fit int64 codes")
     rng = _seeded(seed, error=GaugeError)
     codes, coeffs = [], []
-    for k in range(samples):
+    for k in range(RESIDUAL_SAMPLES):
         configs = rng.integers(G.order, (40, lat.n_edges)).tolist()
         z = _normals(rng, 2, 40)
         s = GaugeState(G, lat, zip(map(tuple, configs), z[0] + 1j * z[1])).normalized()

@@ -541,10 +541,12 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     imaginary parts of Z come from _normals on the stream of seed (see
     _seeded); a seed that is negative or no integer raises GroupError.
 
-    A draw is redrawn when p_11 Z is rank-deficient (s_min <= 1e-8 s_max) or
-    V misses the intertwining relation by more than 1e-8 on a generator;
-    after _MAX_RETRIES draws GroupError is raised.  That is also the outcome
-    when sigma (x) psi is not m copies of sigma.  The check is one batched
+    One draw is enough: p_11 has rank the multiplicity of sigma in
+    sigma (x) psi, at most m.  At m, a complex Gaussian Z makes p_11 Z full
+    rank with probability 1; below m, no Z does.  So GroupError("no unitary
+    intertwiner: ...") comes at once, naming the failed check, when p_11 Z
+    is rank-deficient (s_min <= 1e-8 s_max) or V misses the intertwining
+    relation by more than 1e-8 on a generator.  The check is one batched
     product over the generators: the stack of sigma(g) (x) psi(g) times V
     against V (1_m (x) sigma(g)), which is V's (dim, m, d_sigma) reshape
     times sigma(g); a group without generators passes it.
@@ -561,20 +563,18 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     weighted = sigma.matrices[:, :, 0].conj()[:, :, None] * psi.matrices.reshape(n, 1, m * m)
     p = (sig.T @ weighted.reshape(n, ds * m * m)) * (ds / n)  # [(i, j), (b, k, l)]
     p = p.reshape(ds, ds, ds, m, m).transpose(2, 0, 3, 1, 4).reshape(ds, dim, dim)
-    for _ in range(_MAX_RETRIES):
-        z = _normals(rng, 2, dim, m)
-        u, s, vh = np.linalg.svd(p[0] @ (z[0] + 1j * z[1]), full_matrices=False)
-        if s[-1] <= 1e-8 * s[0]:
-            continue  # rank-deficient draw; try a fresh Z
-        v = (p @ (u @ vh)).transpose(1, 2, 0).reshape(dim, dim)  # column a * ds + b
-        right = (v.reshape(dim, m, ds) @ gen_sigma[:, None]).reshape(-1, dim, dim)
-        residual = np.max(np.abs(gen_rho @ v - right), initial=0.0)
-        if residual <= 1e-8:
-            return Intertwiner(sigma, psi, v)
-    raise GroupError(
-        f"no unitary intertwiner after {_MAX_RETRIES} draws: p_11 Z stayed "
-        "rank-deficient or V failed the intertwining check"
-    )
+    z = _normals(rng, 2, dim, m)
+    u, s, vh = np.linalg.svd(p[0] @ (z[0] + 1j * z[1]), full_matrices=False)
+    if s[-1] <= 1e-8 * s[0]:
+        raise GroupError(f"no unitary intertwiner: p_11 Z is rank-deficient, so "
+                         f"sigma (x) psi is not {m} copies of sigma")
+    v = (p @ (u @ vh)).transpose(1, 2, 0).reshape(dim, dim)  # column a * ds + b
+    right = (v.reshape(dim, m, ds) @ gen_sigma[:, None]).reshape(-1, dim, dim)
+    residual = np.max(np.abs(gen_rho @ v - right), initial=0.0)
+    if not residual <= 1e-8:
+        raise GroupError(f"no unitary intertwiner: V misses the intertwining "
+                         f"relation by {residual:.3g} on a generator")
+    return Intertwiner(sigma, psi, v)
 
 
 def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
@@ -610,51 +610,38 @@ def gauge_match(r1: RMatrix, r2: RMatrix):
     1e-8 is returned, in the order of permutations in itertools order, then
     phase tuples in product order.  cli.cmd_derive_r calls this only when m
     equals the built-in paper3d's m = 4; m > 4 raises ValueError, because at
-    m = 8 a miss would take about half a day.  Absence of a monomial match
-    does not disprove equivalence under a general unitary gauge.
+    m = 8 the scan has 8! * 4^7, about 6.6e8, candidates.  Absence of a
+    monomial match does not disprove equivalence under a general unitary
+    gauge.
 
     A monomial Q e_i = ph_i e_perm(i) only permutes and rephases entries:
     (Q x Q) M1 (Q x Q)^dag has ph_a ph_b conj(ph_c ph_d) M1[ab, cd] at
-    [perm(a) perm(b), perm(c) perm(d)].  Phases are i^e, so each candidate
-    reads M1 times one of four powers of i; that product, and so the
-    comparison, is exact.
-
-    Every candidate therefore permutes the moduli of M1's m^4 entries, and a
-    match within 1e-8 pairs them with M2's moduli within 1e-8 (the triangle
-    inequality).  No pairing beats the sorted one on its largest difference,
-    so the scan is skipped, and None returned, when the sorted moduli differ
-    by more than 1e-8 plus an allowance of 1e-12 per unit of the largest
-    modulus, which covers the rounding of moduli and differences.  The R
-    derived for seeds 0-9 has 256 nonzero entries and paper3d 16, so
-    derive-r skips the scan.
+    [perm(a) perm(b), perm(c) perm(d)].  Every candidate therefore permutes
+    the moduli of M1's m^4 entries, and a match within 1e-8 pairs them with
+    M2's moduli within 1e-8 (the triangle inequality).  No pairing beats the
+    sorted one on its largest difference, so the scan is skipped, and None
+    returned, when the sorted moduli differ by more than 1e-8 plus an
+    allowance of 1e-12 per unit of the largest modulus, which covers the
+    rounding of moduli and differences.  The R derived for seeds 0-9 has 256
+    nonzero entries and paper3d 16, so derive-r skips the scan.
     """
-    from itertools import permutations
+    from itertools import permutations, product
 
     if r1.m != r2.m:
         raise ValueError("gauge_match requires equal m")
     m = r1.m
     if m > 4:
         raise ValueError(f"gauge_match searches m <= 4 only, got m = {m}")
-    m1 = as_map(r1)
-    m2 = as_map(r2).reshape(m, m, m, m)
+    m1, m2 = as_map(r1), as_map(r2)
     mod1, mod2 = np.sort(np.abs(m1), axis=None), np.sort(np.abs(m2), axis=None)
     if np.max(np.abs(mod1 - mod2)) > 1e-8 + 1e-12 * max(mod1[-1], mod2[-1]):
         return None
-    turn = np.array([1, 1j, -1, -1j])  # turn[e] = i^e
-    power = np.array([0, 2, 1, 3])  # the phases 1, -1, i, -i in search order, as e
-    # the exponents e of every phase tuple, in product order (last phase fastest)
-    places = 4 ** np.arange(m - 2, -1, -1)
-    e = np.zeros((4 ** (m - 1), m), dtype=np.int64)
-    e[:, 1:] = power[np.arange(len(e))[:, None] // places % 4]
-    pair = (e[:, :, None] + e[:, None, :]).reshape(-1, m * m)  # e_a + e_b
-    expo = (pair[:, :, None] - pair[:, None, :]) & 3
-    cols = np.arange(m * m)
-    cand = (turn[:, None, None] * m1)[expo, cols[:, None], cols]  # i^expo M1, per tuple
     for perm in permutations(range(m)):
-        target = m2[np.ix_(perm, perm, perm, perm)].reshape(m * m, m * m)
-        hit = np.flatnonzero(np.abs(cand - target).reshape(len(e), -1).max(axis=1) <= 1e-8)
-        if hit.size:
-            q = np.zeros((m, m), dtype=np.complex128)
-            q[list(perm), np.arange(m)] = turn[e[hit[0]]]
-            return q
+        base = np.zeros((m, m), dtype=np.complex128)
+        base[list(perm), np.arange(m)] = 1.0
+        for phases in product((1, -1, 1j, -1j), repeat=m - 1):
+            q = base * np.array((1, *phases))
+            qq = np.kron(q, q)
+            if np.max(np.abs(qq @ m1 @ qq.conj().T - m2)) <= 1e-8:
+                return q
     return None

@@ -98,6 +98,16 @@ class TestDecode:
         with pytest.raises(gm.GameError, match="Alice or Bob"):
             gm.decode(rm.paper_r(+1), "Eve", 1, 1)
 
+    @pytest.mark.parametrize("value", (0, -1, 5, 1.5))
+    @pytest.mark.parametrize("who", ("Alice", "Bob"))
+    def test_out_of_range_input_rejected(self, who, value):
+        # 0 and -1 used to wrap around to the last row, 5 to leak IndexError
+        r = rm.paper_r(+1)
+        with pytest.raises(gm.GameError, match=r"own must be an integer in 1\.\.4"):
+            gm.decode(r, who, value, 1)
+        with pytest.raises(gm.GameError, match=r"observed must be an integer in 1\.\.4"):
+            gm.decode(r, who, 1, value)
+
     def test_braid_fixture_needs_distribution(self):
         r = rm.braid_fixture()
         with pytest.raises(gm.GameError, match="not deterministic"):
@@ -217,13 +227,33 @@ class TestProtocol:
         assert t1.as_dict() == t2.as_dict()
         assert r1.as_dict() == r2.as_dict()
 
-    def test_referee_catches_stray(self, base_cfg):
-        tr, rep = gm.run_protocol(base_cfg, inject_stray=True)
+    def test_referee_catches_stray(self, base_cfg, monkeypatch):
+        # a stray excitation appears well outside both windows partway through
+        real_move, moves = gm.pf.move, []
+
+        def move(state, src, dst):
+            moves.append((src, dst))
+            state = real_move(state, src, dst)
+            if len(moves) == base_cfg.L // 2:
+                stray = base_cfg.L + base_cfg.r0 + 2
+                state = gm.pf.create(state, gm._pos(stray), 1, "back")
+            return state
+
+        monkeypatch.setattr(gm.pf, "move", move)
+        tr, rep = gm.run_protocol(base_cfg)
         assert tr.verdict == "challenge failed"
         assert not rep.success
         fails = [e for e in tr.events
                  if e["event"] == "referee-check" and not e["passed"]]
         assert fails and fails[0]["stray_site"] is not None
+
+    @pytest.mark.parametrize("L", range(2, 8))
+    def test_zero_radius_windows_follow_the_particles(self, L):
+        # with r0 = 0 a particle must sit on its commanded site at every check
+        base = gm.GameConfig(L=L, r=rm.paper_r(+1), a=1, b=1, r0=0)
+        games = list(gm.run_all_pairs(base))
+        assert len(games) == 16
+        assert all(t.verdict == "win" and rep.success for t, rep in games)
 
     def test_referee_checks_run_on_cadence(self, base_cfg):
         tr, _ = gm.run_protocol(base_cfg)

@@ -55,8 +55,7 @@ class TestProjectorAlgebra:
         assert res["commutation"] <= 1e-10
 
     def test_residuals_on_ladder(self, small_groups, ladder):
-        res = gs.commutator_residuals(small_groups["Z2"], ladder, seed=2,
-                                      samples=3)
+        res = gs.commutator_residuals(small_groups["Z2"], ladder, seed=2)
         assert res["idempotence"] <= 1e-10
         assert res["commutation"] <= 1e-10
 
@@ -509,9 +508,9 @@ class TestBatchedAgainstReference:
 
     def test_residuals(self, small_groups, name, shape):
         G, lat = small_groups[name], LATTICES[shape]()
-        for seed, samples in ((0, 5), (1, 3), (2, 1)):
-            got = gs.commutator_residuals(G, lat, seed=seed, samples=samples)
-            want = ref_commutator_residuals(G, lat, seed=seed, samples=samples)
+        for seed in (0, 1, 2):
+            got = gs.commutator_residuals(G, lat, seed=seed)
+            want = ref_commutator_residuals(G, lat, seed=seed, samples=gs.RESIDUAL_SAMPLES)
             assert got.keys() == want.keys()
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-15
@@ -540,11 +539,6 @@ class TestBatchEdges:
                 shifted = gs.gauge_shift(G, lat, (0, 0, h, 0, 0), 2, g)
                 assert shifted == (0, 0, G.mult[G.mult[g, h], G.inv[g]], 0, g)
 
-    def test_no_samples_rejected(self, small_groups, patch):
-        for samples in (0, -1):
-            with pytest.raises(gs.GaugeError, match="samples"):
-                gs.commutator_residuals(small_groups["Z2"], patch, samples=samples)
-
     @pytest.mark.parametrize("seed", (-3, -1, 1.5, "3", None))
     def test_seed_that_is_negative_or_no_integer_rejected(self, small_groups, patch, seed):
         # -3's two's-complement limb would key the stream of seed 2^64 - 3
@@ -552,19 +546,21 @@ class TestBatchEdges:
             gs.commutator_residuals(small_groups["Z2"], patch, seed=seed)
 
     def test_batch_codes_overflowing_int64_rejected(self, small_groups):
-        # 8^21 codes fill int64 exactly: one sample fits, two do not
-        G = small_groups["D4"]
-        chain = gs.GaugeLattice(22, tuple((i, i + 1) for i in range(21)), ())
+        # 5 samples of 6^24 codes overflow int64; 5 of 8^20 (5.8e18) fit
+        def chain(edges):
+            return gs.GaugeLattice(edges + 1, tuple((i, i + 1) for i in range(edges)), ())
+
+        assert gs.RESIDUAL_SAMPLES == 5
         with pytest.raises(gs.GaugeError, match="int64"):
-            gs.commutator_residuals(G, chain, samples=2)
-        res = gs.commutator_residuals(G, chain, samples=1)
+            gs.commutator_residuals(small_groups["S3"], chain(24))
+        res = gs.commutator_residuals(small_groups["D4"], chain(20))
         assert max(res.values()) <= 1e-10
 
     def test_residuals_are_per_sample(self, small_groups, patch, monkeypatch):
         # an operator that doubles every state leaves |4s - 2s| = 2 on each
         # normalized sample; one distance over the whole batch would read 2 sqrt(5)
         monkeypatch.setattr(gs, "vertex_projector", lambda s, v: s._like(s.codes, 2 * s.coeffs))
-        res = gs.commutator_residuals(small_groups["S3"], patch, samples=5)
+        res = gs.commutator_residuals(small_groups["S3"], patch)
         assert res["idempotence"] == pytest.approx(2.0, abs=1e-12)
         assert res["commutation"] <= 1e-12
 
