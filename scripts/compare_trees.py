@@ -91,7 +91,10 @@ def runs():
     for extra in (("paper3d",), ("braid-fixture", "--p", "0.7"), ("paper3d", "--noise-l", "0"),
                   ("trivial8", "--trials", "20000", "--p", "0.01"),
                   ("trivial4", "--p", "1.0", "--noise-d", "0"),
-                  ("trivial8", "--trials", "20000", "--p", "1", "--noise-d", "0")):
+                  ("trivial8", "--trials", "20000", "--p", "1", "--noise-d", "0"),
+                  # both cross many blocks of scrambled trials and chunks of draws
+                  ("trivial8", "--trials", "40000", "--p", "1", "--noise-d", "0"),
+                  ("paper3d", "--trials", "70001", "--p", "0.3")):
         yield (f"noise-sweep --builtin {' '.join(extra)}",
                ["-m", "parastat.cli", "noise-sweep", "--builtin", *extra], [])
     yield (f"noise-sweep --seed {BIG_SEED} --builtin paper3d",

@@ -14,8 +14,6 @@ random module.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import math
 import os
@@ -34,6 +32,10 @@ class CliError(Exception):
 
 
 def _digest(path) -> str:
+    # hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS and a few ms), so
+    # only a run that reads an input file imports it
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -93,6 +95,8 @@ def _emit(args, payload: dict, rows=None) -> None:
         raise CliError(f"cannot write report: {exc}") from exc
     try:
         if args.format == "csv":
+            import csv
+
             writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -285,15 +289,16 @@ def cmd_gauge_check(args) -> int:
 # at m = rmatrix.MAX_M = 8, about 19 MiB here.
 TWIST_N_MAX = 100
 # Largest --trials.  A twist trial keeps only its draws and the row indices
-# into the shared prior and likelihood tables: about 64 bytes, whatever
-# --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 92 MB
-# RSS at this bound (67 MB with one trial).  A noise-sweep trial reads the
-# shared Born table; within --noise-l a trial with a scrambled label, a share
-# 1 - (1 - q)^2 of them, builds its label states, their product, its image and
-# its own outcome row, each freed once the next exists: about 2 KiB at m = 8.
-# noise-sweep --builtin trivial8 peaks at 438 MB RSS at this bound and the
-# default --p 0.2, 117 MB at --p 0.02, and 638 MB at --p 1 --noise-d 0, where
-# every label is scrambled.
+# into the shared prior and likelihood tables: about 40 bytes, whatever
+# --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 84 MB
+# RSS at this bound (63 MB with one trial).  A noise-sweep trial keeps its
+# draws and row indices and reads the shared Born table; within --noise-l a
+# scrambled label, on a share 1 - (1 - q)^2 of the trials, adds two float64
+# normals per component (256 bytes at m = 8), and the label states, product
+# states and outcome rows of those trials are built a block at a time.
+# noise-sweep --builtin trivial8 peaks at 105 MB RSS at this bound and the
+# default --p 0.2, 74 MB at --p 0.02, and 150 MB at --p 1 --noise-d 0, where
+# every label is scrambled (32 MB with one trial).
 TWIST_TRIALS_MAX = 500_000
 NOISE_TRIALS_MAX = 300_000
 # Largest noise-sweep --noise-d; d enters only p / (2d + 1), in Python ints.
@@ -306,7 +311,7 @@ CHAIN_L_MAX = 10_000
 # Largest noise-sweep --noise-l.  The sweep runs --trials trials at each of
 # the noise_l + 3 distances, in flat memory: about 1 ms per distance at the
 # default 2000 trials and m = 4, so about 0.1 s at this bound; at
-# NOISE_TRIALS_MAX and m = 8 a distance takes under 1 s (2-vCPU Xeon).
+# NOISE_TRIALS_MAX and m = 8 a distance takes under 2 s (2-vCPU Xeon).
 NOISE_L_MAX = 100
 # Largest derive-r --order-bound.  The group's multiplication table takes
 # 8 * order^2 bytes: 128 MiB at this bound.

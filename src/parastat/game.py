@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import parafock as pf
+from . import group_engine, parafock as pf
 from .group_engine import _normals, _seeded
 from .rmatrix import RMatrix, as_map
 
@@ -167,18 +167,28 @@ def _guesses(hits: np.ndarray, m: int, rng) -> np.ndarray:
     return guesses
 
 
-def _draw(probs: np.ndarray, rng, rows) -> np.ndarray:
-    """One inverse-CDF column index per trial from one uniform each: trial t
-    samples row rows[t] of probs.  Only probs' rows are cumulated, and CDF
-    entries <= u are counted a column at a time, so trials that share a small
-    table of distinct rows build no trials x columns array."""
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative sums of each row of probs, scaled to end at 1."""
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(len(rows))
+    return cdf
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """One inverse-CDF column index per trial t: the number of entries <= u[t]
+    in row rows[t] of cdf (by default row t).  The entries are counted a
+    column at a time, so trials that share a small table of distinct rows
+    build no trials x columns array."""
     k = np.zeros(len(u), dtype=np.intp)
     for col in cdf.T:
         k += col[rows] <= u
     return k
+
+
+def _draw(probs: np.ndarray, rng, rows) -> np.ndarray:
+    """One inverse-CDF column index per trial from one uniform each: trial t
+    samples row rows[t] of probs, and only probs' rows are cumulated."""
+    return _inverse_cdf(_cdf(probs), rng.random(len(rows)), rows)
 
 
 def mutual_information(r: RMatrix) -> dict:
@@ -347,35 +357,51 @@ def _wins(born: np.ndarray, tables: np.ndarray, trials: int, rng, mat=None,
     players name the partner's secret.
 
     With a scramble probability q (and R's map mat) each label is first
-    replaced, with probability q, by a uniform unit vector of C^m.  Only the
-    trials with a scrambled label get rows of their own, |mat psi|^2 for
-    their product state psi, appended below the Born table: an unscrambled
-    trial's row would equal its Born row.
+    replaced, with probability q, by a uniform unit vector of C^m.  A trial
+    with a scrambled label samples its own row |mat psi|^2 for its product
+    state psi instead (an unscrambled trial's row would equal its Born row).
+    Those rows and their CDFs are built for a block of about
+    group_engine._BLOCK_ENTRIES / m^2 such trials at a time, read at call
+    time, and each block is sampled with those trials' uniforms.  So memory
+    grows with per-trial integers and uniforms plus two float64 normals per
+    component of a scrambled label, not with trials x m^2 rows.  The draws
+    come in one order whatever the block: a, b, the scramble mask, the
+    normals, one uniform per trial, the guesses.
     """
     m = tables.shape[1]
     a = rng.integers(m, size=trials)
     b = rng.integers(m, size=trials)
-    probs, rows = born, a * m + b
+    hit = np.zeros(trials, dtype=bool)  # the trials with a scrambled label
     if q is not None:
         scrambled = rng.random((2, trials)) < q
         z = _normals(rng, 2, np.count_nonzero(scrambled), m)
-        z = z[0] + 1j * z[1]
-        hit = np.flatnonzero(scrambled.any(axis=0))
-        # the two labels stay a product state: slot 0 is Alice's, slot 1 Bob's
-        labels = np.zeros((2, len(hit), m), dtype=np.complex128)
-        labels[0, np.arange(len(hit)), a[hit]] = 1.0
-        labels[1, np.arange(len(hit)), b[hit]] = 1.0
-        labels[scrambled[:, hit]] = z / np.linalg.norm(z, axis=1, keepdims=True)
-        del z  # each per-trial array is released once the next one is built
-        psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(len(hit), m * m)
-        del labels
-        psi = psi @ mat.T
-        own = np.abs(psi)
-        del psi
-        own **= 2
-        probs = np.concatenate([born, own])
-        rows[hit] = len(born) + np.arange(len(hit))
-    bp, ap = np.divmod(_draw(probs, rng, rows), m)
+        hit = scrambled.any(axis=0)
+    u = rng.random(trials)
+    stay, hit = np.flatnonzero(~hit), np.flatnonzero(hit)
+    k = np.empty(trials, dtype=np.intp)
+    k[stay] = _inverse_cdf(_cdf(born), u[stay], (a * m + b)[stay])
+    if q is not None:
+        # z[:, label[s, i]] scrambles slot s of trial hit[i] (slot 0 is
+        # Alice's, slot 1 Bob's): z numbers Alice's scrambled labels in trial
+        # order, then Bob's
+        label = np.cumsum(scrambled[:, hit]).reshape(2, len(hit)) - 1
+        step = max(1, group_engine._BLOCK_ENTRIES // (m * m))
+        for lo in range(0, len(hit), step):
+            t, j = hit[lo:lo + step], label[:, lo:lo + step]
+            mask = scrambled[:, t]
+            labels = np.zeros((2, len(t), m), dtype=np.complex128)
+            labels[0, np.arange(len(t)), a[t]] = 1.0
+            labels[1, np.arange(len(t)), b[t]] = 1.0
+            zj = z[0, j[mask]] + 1j * z[1, j[mask]]
+            labels[mask] = zj / np.linalg.norm(zj, axis=1, keepdims=True)
+            psi = np.einsum("ti,tj->tij", labels[0], labels[1]).reshape(len(t), m * m)
+            del labels  # each block array is released once the next one is built
+            psi = psi @ mat.T
+            probs = np.abs(psi)
+            del psi
+            probs **= 2
+            k[t] = _inverse_cdf(_cdf(probs), u[t])
+    bp, ap = np.divmod(k, m)
     alice, bob = tables
     ga, gb = _guesses(np.stack([alice[a, ap], bob[b, bp]]), m, rng)
     return int(np.count_nonzero((ga == b + 1) & (gb == a + 1)))
@@ -474,8 +500,10 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     so a scrambled label is drawn as one normalized complex Gaussian vector:
     exact in distribution.  Every distance draws from the one Born table
     _outcome_probs, at row a * m + b; within noise_l a trial with a scrambled
-    label reads a row of its own appended below it (see _wins), so memory
-    grows with the scrambled share 1 - (1 - q)^2 of the trials.
+    label, a share 1 - (1 - q)^2 of them, samples a row of its own, built a
+    block of trials at a time (see _wins).  So memory grows with per-trial
+    integers and uniforms plus two float64 normals per component of a
+    scrambled label, not with trials x m^2 complex rows.
     """
     if not 0.0 <= p <= 1.0:
         raise GameError("noise rate must be a probability")

@@ -36,8 +36,9 @@ _MAX_RETRIES = 12
 # characters takes one n x n gather of the eigenvectors per class, k of them
 # in all (an abelian group has k = n = |G|, so 256 gathers of 1 MiB here).
 MAX_CLASSES = 256
-# Entries that irreps holds in one block of a batched gather: 2^16 (1 MiB as
-# complex128), or one item when an item is larger.
+# Entries held in one block of batched work, 2^16 (1 MiB as complex128): a
+# chunk of _Stream draws, a block of the sweeps' outcome rows (game), or one
+# batched gather of irreps, which takes one item when an item is larger.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -52,10 +53,16 @@ _MASK = (1 << 64) - 1
 
 def _fmix64(x):
     """SplitMix64's finaliser, a bijection of 64-bit words, on a Python int or
-    elementwise on a uint64 array (whose products wrap without a warning)."""
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+    elementwise and in place on a uint64 array (whose products wrap without a
+    warning), which it returns."""
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x &= _MASK
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x &= _MASK
+    x ^= x >> 31
+    return x
 
 
 class _Stream:
@@ -70,18 +77,29 @@ class _Stream:
         self.key, self.count = np.uint64(key), 0
 
     def random(self, size) -> np.ndarray:
-        """Uniforms (x >> 11) 2^-53 in [0, 1), shaped like size."""
+        """Uniforms (x >> 11) 2^-53 in [0, 1), shaped like size, filled
+        _BLOCK_ENTRIES counters at a time: draw i depends on i alone, so the
+        chunks change no value and the temporaries stay O(chunk)."""
         shape = (size,) if isinstance(size, numbers.Integral) else tuple(size)
         n = math.prod(shape)
-        counter = np.arange(self.count, self.count + n, dtype=np.uint64)
+        out = np.empty(n)
+        for lo in range(0, n, _BLOCK_ENTRIES):
+            hi = min(n, lo + _BLOCK_ENTRIES)
+            x = np.arange(self.count + lo, self.count + hi, dtype=np.uint64)
+            x *= np.uint64(_GAMMA)
+            x += self.key
+            x = _fmix64(x)
+            x >>= np.uint64(11)
+            np.multiply(x, 2.0 ** -53, out=out[lo:hi])
         self.count += n
-        x = _fmix64(counter * np.uint64(_GAMMA) + self.key)
-        return (x >> np.uint64(11)).astype(np.float64).reshape(shape) * 2.0 ** -53
+        return out.reshape(shape)
 
     def integers(self, m: int, size) -> np.ndarray:
         """floor(u m) of uniforms u: integers in 0..m-1 for 1 <= m <= 2^53,
         where u m rounds below m since u <= 1 - 2^-53."""
-        return (self.random(size) * m).astype(np.int64)
+        u = self.random(size)
+        u *= m
+        return u.astype(np.int64)
 
 
 def _seeded(seed, *key: int, error=GroupError) -> _Stream:
@@ -108,9 +126,17 @@ def _seeded(seed, *key: int, error=GroupError) -> _Stream:
 
 def _normals(rng: _Stream, *shape: int) -> np.ndarray:
     """Standard normals of the given shape from rng.random, by Box-Muller:
-    sqrt(-2 log(1 - u1)) cos(2 pi u2) per consecutive pair of uniforms."""
-    u = rng.random((*shape, 2))
-    return np.sqrt(-2 * np.log1p(-u[..., 0])) * np.cos(2 * np.pi * u[..., 1])
+    sqrt(-2 log(1 - u1)) cos(2 pi u2) per consecutive pair of uniforms,
+    transformed one chunk of _BLOCK_ENTRIES uniforms at a time."""
+    n = math.prod(shape)
+    out = np.empty(n)
+    step = max(1, _BLOCK_ENTRIES // 2)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        u = rng.random((hi - lo, 2))
+        np.multiply(np.sqrt(-2 * np.log1p(-u[:, 0])), np.cos(2 * np.pi * u[:, 1]),
+                    out=out[lo:hi])
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ float64 sums and products of integers below 2^53 are exact.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -282,7 +283,7 @@ def load_rmatrix(source) -> RMatrix:
     if not 1 <= m <= MAX_M:
         raise RMatrixError(f"m must lie in 1..{MAX_M}, got {m}")
     entries = np.zeros((m, m, m, m), dtype=np.complex128)
-    seen = set()
+    values = {}  # 1-based index tuple -> value, in file order
     for row in rows:
         try:
             bp, ap, a, b, re, im = row
@@ -296,12 +297,13 @@ def load_rmatrix(source) -> RMatrix:
             if not 1 <= i <= m:
                 raise RMatrixError(f"index out of range 1..{m}: {row}")
         key = (bp, ap, a, b)
-        if key in seen:
+        if key in values:
             raise RMatrixError(f"duplicate index tuple: {key}")
-        seen.add(key)
-        if not np.isfinite(value):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise RMatrixError(f"non-finite value: {row}")
-        entries[bp - 1, ap - 1, a - 1, b - 1] = value
+        values[key] = value
+    if values:
+        entries[tuple(np.array(list(values)).T - 1)] = list(values.values())
     return RMatrix(entries)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -64,8 +65,7 @@ class TestVerifyR:
         code, payload, _ = run_json(capsys, "verify-r", "--input", str(path))
         assert code == 0
         digests = payload["manifest"]["input_digests"]
-        assert list(digests) == [str(path)]
-        assert len(digests[str(path)]) == 64
+        assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_malformed_input_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -460,14 +460,16 @@ def test_cli_import_leaves_sympy_out():
 def test_no_subcommand_loads_numpy_random_or_numpy_ma(tmp_path):
     # every draw comes from group_engine's own stream, so importing
     # numpy.random (10-14 ms) is pure start-up cost; plain np.unique imports
-    # numpy.ma, which the gauge path and the group tables avoid
+    # numpy.ma, which the gauge path and the group tables avoid.  hashlib's
+    # _hashlib loads OpenSSL's libcrypto, which only an input digest needs.
     import parastat
 
     src = Path(parastat.__file__).resolve().parents[1]
     command = ("import contextlib, io, sys, parastat.cli as cli\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                "    code = cli.main({!r})\n"
-               "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+               "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules,\n"
+               "      '_hashlib' in sys.modules)")
     probes = [command.format(argv) for argv in (
         ["gauge-check", "--group", "D4"],
         ["gauge-check", "--group", "D4", "--patch", "ladder"],
@@ -479,12 +481,27 @@ def test_no_subcommand_loads_numpy_random_or_numpy_ma(tmp_path):
     )]
     probes.append("import sys, parastat.group_engine as ge\n"
                   "ge.enumerate_group(ge.gamma_presentation())\n"
-                  "print(0, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+                  "print(0, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules,\n"
+                  "      '_hashlib' in sys.modules)")
     for probe in probes:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0 False False", probe
+        assert done.stdout.strip() == "0 False False False", probe
+
+    # reading an input file is what loads hashlib, and its digest is sha256
+    path = tmp_path / "r.json"
+    rm.save_rmatrix(rm.paper_r(+1), path)
+    probe = ("import contextlib, io, json, sys, parastat.cli as cli\n"
+             "out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             f"    code = cli.main(['verify-r', '--input', {str(path)!r}])\n"
+             "print(code, '_hashlib' in sys.modules)\n"
+             "print(json.loads(out.getvalue())['manifest']['input_digests'][sys.argv[1]])")
+    done = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["0 True", hashlib.sha256(path.read_bytes()).hexdigest()]
 
 
 def test_closed_stdout_exits_without_traceback():

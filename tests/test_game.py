@@ -6,6 +6,7 @@ import pytest
 
 import parastat.cli as cli
 import parastat.game as gm
+import parastat.group_engine as ge
 import parastat.rmatrix as rm
 
 
@@ -487,6 +488,20 @@ class TestNoise:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
 
+    def test_every_label_scrambled_in_bounded_memory(self):
+        # with every label scrambled, the rows and CDFs are built a block of
+        # trials at a time: what remains is the normals (5 MiB here) and the
+        # per-trial integers, where all 20000 rows at once took about 40 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            gm.noise_experiment(rm.trivial_r(8, +1), 20000, 5, p=1.0, noise_d=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
     def test_widest_offset_range_never_hits(self):
         # p / (2d + 1) is about 5e-20 at the largest --noise-d, so q rounds
         # to 0 and no label is scrambled
@@ -500,6 +515,58 @@ class TestNoise:
         # noise_l = -3 would return an empty curve
         with pytest.raises(gm.GameError, match=">= 0"):
             gm.noise_experiment(rm.paper_r(+1), trials=10, seed=0, p=0.9, **kwargs)
+
+
+def traced(monkeypatch, sweep):
+    """sweep()'s result, the indices the inverse-CDF sampler returned during
+    it, in call order, and the final count of every stream it keyed."""
+    streams, picks = [], []
+    keyed, sampler = gm._rng, gm._inverse_cdf
+
+    def rng(*key):
+        streams.append(keyed(*key))
+        return streams[-1]
+
+    def inverse_cdf(*args):
+        picks.append(sampler(*args))
+        return picks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gm, "_rng", rng)
+        patch.setattr(gm, "_inverse_cdf", inverse_cdf)
+        result = sweep()
+    return result, np.concatenate(picks).tolist(), [s.count for s in streams]
+
+
+class TestBlocks:
+    """The stream draws and the sweeps sample _BLOCK_ENTRIES entries at a
+    time; any block size gives the same draws, outcomes and stream counters.
+    The trial counts are no multiple of any block here."""
+
+    @pytest.mark.parametrize("block", (5, 64))
+    @pytest.mark.parametrize("name", ("paper3d", "trivial4", "trivial8", "braid-fixture"))
+    def test_noise_curves_ignore_the_block(self, monkeypatch, block, name):
+        r = rm.builtin_r(name)
+
+        def sweep():
+            return [gm.noise_experiment(r, 203, 5, p, d)
+                    for p in (0.0, 0.01, 0.5, 1.0) for d in (0, 1)]
+
+        ref = traced(monkeypatch, sweep)
+        monkeypatch.setattr(ge, "_BLOCK_ENTRIES", block)
+        assert traced(monkeypatch, sweep) == ref
+
+    @pytest.mark.parametrize("block", (5, 64))
+    def test_twist_and_guessing_ignore_the_block(self, monkeypatch, block):
+        def sweep():
+            return ([gm.twist_experiment(rm.builtin_r(name), 7, 301, 3)["success_rate"]
+                     for name in ("paper3d", "braid-fixture", "trivial8")]
+                    + [gm.guessing_trials(rm.builtin_r(name), 301, 2)
+                       for name in ("paper3d", "trivial4", "trivial8")])
+
+        ref = traced(monkeypatch, sweep)
+        monkeypatch.setattr(ge, "_BLOCK_ENTRIES", block)
+        assert traced(monkeypatch, sweep) == ref
 
 
 class TestEavesdrop:

@@ -227,6 +227,25 @@ class TestStream:
         chi2 = float(np.sum((counts - n / m) ** 2 / (n / m)))
         assert chi2 <= (m - 1) + 5 * math.sqrt(2 * (m - 1))
 
+    @pytest.mark.parametrize("block", (5, 64))
+    def test_chunks_change_no_draw(self, monkeypatch, block):
+        # random and _normals work _BLOCK_ENTRIES counters at a time; the
+        # sizes and shapes cross chunk boundaries at either block size
+        def draws():
+            rng = ge._seeded(11, 4)
+            out = [rng.random(n) for n in (0, 1, 4, 5, 6, 63, 64, 65, 200)]
+            out += [rng.random((3, 7)), rng.integers(7, 131), rng.integers(3, (5, 13))]
+            out += [ge._normals(rng, *shape) for shape in ((1,), (3,), (13,), (0, 5),
+                                                           (2, 7, 3), (2, 33, 5))]
+            return out, rng.count
+
+        ref, ref_count = draws()
+        monkeypatch.setattr(ge, "_BLOCK_ENTRIES", block)
+        got, count = draws()
+        assert count == ref_count
+        for x, y in zip(got, ref, strict=True):
+            assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y)
+
     def test_normals_have_mean_0_and_variance_1(self):
         # standard errors: 1 / sqrt(n) for the mean, sqrt(2 / n) for the
         # variance; bounds at 5 sigma
