@@ -7,8 +7,8 @@ lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
 apart from the timestamp, reruns with the same arguments are byte-identical.
 Each random draw is seeded, so reruns reproduce: every draw comes from one
 counter-based stream (group_engine._seeded) keyed by --seed, of any size,
-and the irreps from the stream of seed 0.  No subcommand loads numpy's
-random module.
+and the irreps, all that derive-r draws, from the stream of seed 0.  No
+subcommand loads numpy's random module.
 """
 
 from __future__ import annotations
@@ -148,16 +148,15 @@ def cmd_derive_r(args) -> int:
     G = group_engine.enumerate_group(pres, args.order_bound)
     payload = {"manifest": _manifest(args, inputs), "group_order": G.order}
     try:
-        inter, derived = group_engine.find_para_pair(G, seed=args.seed)
+        inter, derived = group_engine.find_para_pair(G)
     except group_engine.GroupError as exc:
         payload["error"] = str(exc)
         _emit(args, payload)
         return EXIT_FAIL
     ref = rmatrix.paper_r(+1)
     inv_d = rmatrix.spectral_invariants(derived)
-    same_m = derived.m == ref.m
-    inv_match = same_m and rmatrix.invariants_close(inv_d, rmatrix.spectral_invariants(ref))
-    q = group_engine.gauge_match(derived, ref) if same_m else None
+    inv_match = rmatrix.invariants_close(inv_d, rmatrix.spectral_invariants(ref))
+    q = group_engine.gauge_match(derived, ref) if derived.m == ref.m else None
     payload.update({
         "d_sigma": inter.sigma.dim,
         "d_psi": inter.psi.dim,

@@ -442,8 +442,8 @@ def twist_experiment(r: RMatrix, n_max: int, trials: int, seed: int) -> dict:
                         "the twist counts 0..n_max, each n >= 0, must be nonempty")
     mat = _unitary_map(r)
     m = r.m
-    ns = list(range(n_max + 1))
-    probs = np.full(len(ns), 1.0 / len(ns))
+    probs = np.full(n_max + 1, 1.0 / (n_max + 1))
+    # normalised although uniform: its rounding decides exact posterior ties
     probs /= probs.sum()
 
     # state for each (a, b, n): M^(2n+1) |a> x |b>, reshaped (b' slot, a' slot)
@@ -451,7 +451,7 @@ def twist_experiment(r: RMatrix, n_max: int, trials: int, seed: int) -> dict:
     for _ in range(n_max):
         powers.append(powers[-1] @ mat @ mat)
     # column a*m + b of M^(2n+1) is its image of |a> x |b>
-    states = np.stack(powers).reshape(len(ns), m, m, m, m)
+    states = np.stack(powers).reshape(n_max + 1, m, m, m, m)
     states = states.transpose(3, 4, 0, 1, 2)
 
     # Bob's outcome likelihoods: p(k | a, b, n) marginalizing Alice's slot
@@ -470,12 +470,12 @@ def twist_experiment(r: RMatrix, n_max: int, trials: int, seed: int) -> dict:
     a = rng.integers(m, size=trials)
     b = rng.integers(m, size=trials)
     n_idx = _draw(probs[None], rng, np.zeros(trials, dtype=np.intp))
-    k = _draw(bob_like.reshape(-1, m), rng, (a * m + b) * len(ns) + n_idx)
+    k = _draw(bob_like.reshape(-1, m), rng, (a * m + b) * (n_max + 1) + n_idx)
     return {
         "success_rate": int(np.count_nonzero(guess[b, k] == a)) / trials,
         "rho_b_n_deviation": rho_dev,
         "rho_b_avg": rho_avg,
-        "n_support": ns,
+        "n_support": list(range(n_max + 1)),
     }
 
 

@@ -507,7 +507,7 @@ def fusion_decompose(G: FiniteGroup, pi1: Irrep, pi2: Irrep) -> list[tuple[int, 
     return [(i, int(m)) for i, m in enumerate(mults) if m]
 
 
-def find_para_pair(G: FiniteGroup, seed: int = 0) -> tuple[Intertwiner, RMatrix]:
+def find_para_pair(G: FiniteGroup) -> tuple[Intertwiner, RMatrix]:
     """Intertwiner of an irrep pair with sigma (x) psi = d_psi * sigma,
     d_psi >= 2, and genuinely parastatistical exchange, with its derived R.
 
@@ -515,10 +515,7 @@ def find_para_pair(G: FiniteGroup, seed: int = 0) -> tuple[Intertwiner, RMatrix]
     instance when psi is blind to the center that makes sigma projective -
     so each candidate's derived R is checked for non-triviality before the
     pair is accepted.  Preference among the surviving pairs: smallest d_psi,
-    then smallest d_sigma, then irrep indices.  seed goes to
-    solve_intertwiner.  It cannot change which pair wins: the check is
-    whether R is a rank-1 product, which the Q (x) Q gauge that separates two
-    seeds' intertwiners preserves.
+    then smallest d_sigma, then irrep indices.
     """
     from .rmatrix import is_trivial_product
 
@@ -531,9 +528,8 @@ def find_para_pair(G: FiniteGroup, seed: int = 0) -> tuple[Intertwiner, RMatrix]
     hits = (own == [psi.dim for psi in psis]) & (np.count_nonzero(mults, axis=2) == 1)
     candidates = [(psis[j].dim, reps[s].dim, s, psis[j].index) for s, j in np.argwhere(hits)]
     for _, _, si, pi in sorted(candidates):
-        sigma, psi = reps[si], reps[pi]
-        inter = solve_intertwiner(sigma, psi, seed)
-        derived = derive_r(sigma, psi, inter)
+        inter = solve_intertwiner(reps[si], reps[pi])
+        derived = derive_r(inter)
         if is_trivial_product(derived, 1e-8) is None:
             return inter, derived
     raise GroupError("no parastatistical fusion rule in Rep(G)")
@@ -552,7 +548,7 @@ class Intertwiner:
     V: np.ndarray
 
 
-def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
+def solve_intertwiner(sigma: Irrep, psi: Irrep) -> Intertwiner:
     """Unitary intertwiner C^m (x) sigma -> sigma (x) psi from Schur's matrix units.
 
     With rho = sigma (x) psi, the operators
@@ -560,24 +556,20 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     rho(h) p_b1 = sum_c sigma(h)_cb p_c1 (Serre, Linear Representations of
     Finite Groups, sec. 2.7, prop. 8): p_11 is the orthogonal projector onto
     the first basis vectors of the sigma copies in rho, and p_b1 maps them
-    isometrically to the b-th.  The polar factor of p_11 Z, for a random
-    complex dim x m matrix Z, is an orthonormal basis q_1..q_m of range(p_11),
-    and column (a, b) of V is p_b1 q_a.  Every p_b1 is one contraction of
-    sigma's (|G|, d_sigma^2) table with psi's (|G|, m^2) table.  The real and
-    imaginary parts of Z come from _normals on the stream of seed (see
-    _seeded); a seed that is negative or no integer raises GroupError.
+    isometrically to the b-th.  One eigh of p_11 gives q_1..q_m, the
+    eigenvectors of its top m eigenvalues, and column (a, b) of V is p_b1 q_a.
+    Every p_b1 is one contraction of sigma's (|G|, d_sigma^2) table with
+    psi's (|G|, m^2) table.  Nothing is drawn.  LAPACK picks the basis within
+    the eigenvalue 1, as it does in irreps, so V and the derived R are fixed
+    per numpy/LAPACK build, not across builds.
 
-    One draw is enough: p_11 has rank the multiplicity of sigma in
-    sigma (x) psi, at most m.  At m, a complex Gaussian Z makes p_11 Z full
-    rank with probability 1; below m, no Z does.  So GroupError("no unitary
-    intertwiner: ...") comes at once, naming the failed check, when p_11 Z
-    is rank-deficient (s_min <= 1e-8 s_max) or V misses the intertwining
-    relation by more than 1e-8 on a generator.  The check is one batched
-    product over the generators: the stack of sigma(g) (x) psi(g) times V
-    against V (1_m (x) sigma(g)), which is V's (dim, m, d_sigma) reshape
-    times sigma(g); a group without generators passes it.
+    GroupError("no unitary intertwiner: ...") names the failed check: p_11's
+    eigenvalues lie more than 1e-8 from a rank-m projector's (sigma occurs
+    fewer than m times in rho), or V misses the intertwining relation by
+    more than 1e-8 on a generator.  That check is one batched product of
+    sigma(g) (x) psi(g) V against V (1_m (x) sigma(g)) over the generators;
+    a group without generators passes it.
     """
-    rng = _seeded(seed)
     G = sigma.group
     n = G.order
     ds, m = sigma.dim, psi.dim
@@ -589,12 +581,11 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     weighted = sigma.matrices[:, :, 0].conj()[:, :, None] * psi.matrices.reshape(n, 1, m * m)
     p = (sig.T @ weighted.reshape(n, ds * m * m)) * (ds / n)  # [(i, j), (b, k, l)]
     p = p.reshape(ds, ds, ds, m, m).transpose(2, 0, 3, 1, 4).reshape(ds, dim, dim)
-    z = _normals(rng, 2, dim, m)
-    u, s, vh = np.linalg.svd(p[0] @ (z[0] + 1j * z[1]), full_matrices=False)
-    if s[-1] <= 1e-8 * s[0]:
-        raise GroupError(f"no unitary intertwiner: p_11 Z is rank-deficient, so "
+    vals, vecs = np.linalg.eigh(p[0])  # ascending
+    if not np.max(np.abs(vals - np.repeat([0.0, 1.0], [dim - m, m]))) <= 1e-8:
+        raise GroupError(f"no unitary intertwiner: p_11 is not a rank-{m} projector, so "
                          f"sigma (x) psi is not {m} copies of sigma")
-    v = (p @ (u @ vh)).transpose(1, 2, 0).reshape(dim, dim)  # column a * ds + b
+    v = (p @ vecs[:, dim - m:]).transpose(1, 2, 0).reshape(dim, dim)  # column a * ds + b
     right = (v.reshape(dim, m, ds) @ gen_sigma[:, None]).reshape(-1, dim, dim)
     residual = np.max(np.abs(gen_rho @ v - right), initial=0.0)
     if not residual <= 1e-8:
@@ -603,14 +594,14 @@ def solve_intertwiner(sigma: Irrep, psi: Irrep, seed: int = 0) -> Intertwiner:
     return Intertwiner(sigma, psi, v)
 
 
-def derive_r(sigma: Irrep, psi: Irrep, inter: Intertwiner) -> RMatrix:
+def derive_r(inter: Intertwiner) -> RMatrix:
     """Extract the exchange R-matrix from the doubled intertwiner.
 
     W = (V (x) 1_psi)(1_m (x) V) maps m (x) m (x) sigma to sigma (x) psi (x)
     psi.  Swapping the two psi legs of W acts, by Schur's lemma, as a unique
     operator on the m x m multiplicity factor; that operator is R.
     """
-    ds, m = sigma.dim, psi.dim
+    ds, m = inter.sigma.dim, inter.psi.dim
     v = inter.V
     w = np.kron(v, np.eye(m)) @ np.kron(np.eye(m), v)
     wt = w.reshape(ds, m, m, m, m, ds)
@@ -648,8 +639,8 @@ def gauge_match(r1: RMatrix, r2: RMatrix):
     sorted one on its largest difference, so the scan is skipped, and None
     returned, when the sorted moduli differ by more than 1e-8 plus an
     allowance of 1e-12 per unit of the largest modulus, which covers the
-    rounding of moduli and differences.  The R derived for seeds 0-9 has 256
-    nonzero entries and paper3d 16, so derive-r skips the scan.
+    rounding of moduli and differences.  The derived R has 256 nonzero
+    entries and paper3d 16, so derive-r skips the scan.
     """
     from itertools import permutations, product
 

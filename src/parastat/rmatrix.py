@@ -223,7 +223,8 @@ def is_trivial_product(
 def spectral_invariants(r: RMatrix) -> dict:
     """Gauge-invariant fingerprint: trace, eigenvalues, mid-grouping singular values.
 
-    Unchanged under R -> (Q x Q) as_map(R) (Q x Q)^dagger for any unitary Q.
+    Unchanged under R -> (Q x Q) as_map(R) (Q x Q)^dagger for any unitary Q,
+    the eigenvalues as a multiset: rounding can reorder equal real parts.
     """
     mat = as_map(r)
     eigs = np.linalg.eigvals(mat)
@@ -237,9 +238,17 @@ def spectral_invariants(r: RMatrix) -> dict:
 
 
 def invariants_close(inv1: dict, inv2: dict, tol: float = 1e-8) -> bool:
+    """Traces within tol, singular values np.allclose at atol=tol, and each
+    eigenvalue of inv1 within tol of its nearest unused one in inv2."""
+    free = list(inv2["eigenvalues"])
+    for e in inv1["eigenvalues"]:
+        near = min(free, key=lambda x: abs(x - e), default=np.inf)
+        if not abs(near - e) <= tol:
+            return False
+        free.remove(near)
     return (
-        abs(inv1["trace"] - inv2["trace"]) <= tol
-        and np.allclose(inv1["eigenvalues"], inv2["eigenvalues"], atol=tol)
+        not free
+        and abs(inv1["trace"] - inv2["trace"]) <= tol
         and np.allclose(inv1["singular_values"], inv2["singular_values"], atol=tol)
     )
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import parastat.cli as cli
+import parastat.group_engine as ge
 import parastat.rmatrix as rm
 
 
@@ -175,6 +176,33 @@ class TestDeriveR:
         derived = rm.load_rmatrix(out_r)
         assert derived.m == 4
         assert rm.check_yang_baxter(derived, 1e-8).passed
+
+    def test_seed_changes_only_the_manifest(self, capsys, tmp_path, monkeypatch):
+        """derive-r draws only the irreps' seed-0 stream, so --seed changes
+        neither the winning pair, nor the report, nor the R file."""
+        seeds = []
+        seeded = ge._seeded
+
+        def spy(seed, *key, **kwargs):
+            seeds.append(seed)
+            return seeded(seed, *key, **kwargs)
+
+        monkeypatch.setattr(ge, "_seeded", spy)
+        runs = []
+        for seed in (0, 1, 9, 2**64 + 1):
+            out_r = tmp_path / f"r{seed}.json"
+            code, payload, _ = run_json(capsys, "--seed", str(seed), "derive-r",
+                                        "--out-r", str(out_r))
+            assert code == 0
+            assert seeds and set(seeds) == {0}
+            seeds.clear()
+            manifest = payload["manifest"]
+            assert manifest.pop("seed") == manifest["config"].pop("seed") == seed
+            assert manifest["config"].pop("out_r") == str(out_r)
+            del manifest["timestamp"]
+            runs.append((payload, out_r.read_bytes()))
+        assert (runs[0][0]["d_sigma"], runs[0][0]["d_psi"]) == (8, 4)
+        assert all(run == runs[0] for run in runs)
 
     def test_group_without_pair_fails(self, capsys, tmp_path):
         pres = tmp_path / "d4.json"

@@ -175,6 +175,31 @@ class TestSpectralInvariants:
             rot = rm.from_map(qq @ rm.as_map(rm.paper_r(+1)) @ qq.conj().T, 4)
             assert rm.invariants_close(base, rm.spectral_invariants(rot), tol=1e-9)
 
+    @pytest.mark.parametrize("name", ("braid-fixture", "paper3d"))
+    def test_haar_gauges_match_as_multisets(self, name):
+        """braid-fixture's eigenvalues (1 +- i)/sqrt(2), twice each, share a
+        real part, so rounding reorders them under a gauge: comparing the
+        sorted arrays failed for most Haar gauges."""
+        r = rm.builtin_r(name)
+        base = rm.spectral_invariants(r)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            z = rng.standard_normal((r.m, r.m)) + 1j * rng.standard_normal((r.m, r.m))
+            q, upper = np.linalg.qr(z)
+            q *= np.diagonal(upper) / np.abs(np.diagonal(upper))
+            qq = np.kron(q, q)
+            gauged = rm.from_map(qq @ rm.as_map(r) @ qq.conj().T, r.m)
+            assert rm.invariants_close(base, rm.spectral_invariants(gauged), tol=1e-9)
+            assert rm.invariants_close(rm.spectral_invariants(gauged), base, tol=1e-9)
+
+    def test_eigenvalues_pair_each_partner_once(self):
+        inv = rm.spectral_invariants(rm.braid_fixture())
+        # (1 - i)/sqrt(2) three times and (1 + i)/sqrt(2) once, against twice each
+        other = dict(inv, eigenvalues=np.sort_complex(inv["eigenvalues"])[[0, 0, 0, 2]])
+        assert not rm.invariants_close(inv, other)
+        assert not rm.invariants_close(other, inv)
+        assert not rm.invariants_close(inv, dict(inv, eigenvalues=inv["eigenvalues"][:3]))
+
 
 @settings(max_examples=30, deadline=None)
 @given(
