@@ -84,7 +84,9 @@ def runs():
     for name in ("paper3d", "braid-fixture"):
         yield f"twist --builtin {name}", ["-m", "parastat.cli", "twist", "--builtin", name], []
     for extra in (("--builtin", "trivial8", "--n-max", "100", "--trials", "20000"),
-                  ("--builtin", "braid-fixture", "--n-max", "0")):
+                  ("--builtin", "braid-fixture", "--n-max", "0"),
+                  # every posterior of braid-fixture is tied: Bob names the lowest a
+                  ("--builtin", "braid-fixture", "--n-max", "2", "--trials", "200")):
         yield f"twist {' '.join(extra)}", ["-m", "parastat.cli", "twist", *extra], []
     yield (f"twist --seed {BIG_SEED} --builtin braid-fixture",
            ["-m", "parastat.cli", "--seed", BIG_SEED, "twist", "--builtin", "braid-fixture"], [])

@@ -287,10 +287,10 @@ def cmd_gauge_check(args) -> int:
 # blocks per n (matrix power, states, Bob-slot density matrices): 192 KiB per n
 # at m = rmatrix.MAX_M = 8, about 19 MiB here.
 TWIST_N_MAX = 100
-# Largest --trials.  A twist trial keeps only its draws and the row indices
-# into the shared prior and likelihood tables: about 40 bytes, whatever
-# --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 84 MB
-# RSS at this bound (63 MB with one trial).  A noise-sweep trial keeps its
+# Largest --trials.  A twist trial keeps only its draws and its row index
+# into the shared likelihood table: about 40 bytes, whatever
+# --n-max and m; twist --builtin trivial8 --n-max TWIST_N_MAX peaks at 81 MB
+# RSS at this bound (60 MB with one trial).  A noise-sweep trial keeps its
 # draws and row indices and reads the shared Born table; within --noise-l a
 # scrambled label, on a share 1 - (1 - q)^2 of the trials, adds two float64
 # normals per component (256 bytes at m = 8), and the label states, product

@@ -224,6 +224,7 @@ def move(state: StateVector, src: int, dst: int) -> StateVector:
     A move that passes no particle in any configuration only relabels."""
     src, dst = int(src), int(dst)
     moved: dict[Config, complex] = {}
+    crossed = False
     for cfg, c in state.amps.items():
         positions = [p for p, _ in cfg]
         if src not in positions:
@@ -232,18 +233,13 @@ def move(state: StateVector, src: int, dst: int) -> StateVector:
             raise FockError(_OCCUPIED)
         k = positions.index(src)
         if (k and positions[k - 1] > dst) or (k + 1 < len(cfg) and positions[k + 1] < dst):
-            break  # a neighbour lies between src and dst: this move crosses it
-        if abs(c) > PRUNE:
+            crossed = True  # a neighbour lies between src and dst: this move crosses it
+        elif not crossed and abs(c) > PRUNE:
             moved[cfg[:k] + ((dst, cfg[k][1]),) + cfg[k + 1:]] = c
-    else:
+    if not crossed:
         return StateVector(state.r, moved)
-    raw = {}
-    for positions, amps in _groups(state.amps).items():
-        if src not in positions:
-            raise FockError(f"no particle at position {src}")
-        if dst != src and dst in positions:
-            raise FockError(_OCCUPIED)
-        raw[tuple(dst if p == src else p for p in positions)] = amps
+    raw = {tuple(dst if p == src else p for p in positions): amps
+           for positions, amps in _groups(state.amps).items()}
     return StateVector(state.r, _exchange(raw, state.r.entries, _sort_schedule))
 
 

@@ -224,11 +224,13 @@ def spectral_invariants(r: RMatrix) -> dict:
     """Gauge-invariant fingerprint: trace, eigenvalues, mid-grouping singular values.
 
     Unchanged under R -> (Q x Q) as_map(R) (Q x Q)^dagger for any unitary Q,
-    the eigenvalues as a multiset: rounding can reorder equal real parts.
+    up to rounding.  The eigenvalues are listed by real, then imaginary part,
+    each rounded to 9 decimals, so rounding noise does not pick their order.
     """
     mat = as_map(r)
     eigs = np.linalg.eigvals(mat)
-    order = np.lexsort((eigs.imag, eigs.real))
+    with _quiet():  # an eigenvalue beyond about 1e299 rounds to inf, still in order
+        order = np.lexsort((eigs.imag.round(9), eigs.real.round(9)))
     mid = r.entries.transpose(0, 3, 2, 1).reshape(r.m**2, r.m**2)
     return {
         "trace": complex(np.trace(mat)),

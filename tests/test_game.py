@@ -360,6 +360,14 @@ class TestTwist:
         eye = np.eye(2) / 2
         assert np.max(np.abs(out["rho_b_avg"] - eye)) < 1e-12
 
+    def test_ties_go_to_the_lowest_a(self):
+        # braid-fixture's posterior over a is tied for every (b, k), so Bob
+        # names a = 0 and wins exactly the trials with a = 0, whatever n_max
+        a = gm._rng(0, 2).integers(2, size=200)
+        for n_max in range(41):
+            out = gm.twist_experiment(rm.braid_fixture(), n_max, 200, 0)
+            assert out["success_rate"] == np.count_nonzero(a == 0) / 200, n_max
+
     def test_same_seed_reproduces_every_sweep(self):
         sweeps = {
             "guessing": lambda seed: gm.guessing_trials(
@@ -376,7 +384,7 @@ class TestTwist:
     @pytest.mark.parametrize("twist_dist, match", (
         ({"n_max": -1}, "n >= 0"),  # would read powers[-1], the largest power
         ({"n_max": -7}, "n >= 0"),
-        ({"n_max": -1}, "nonempty"),  # 0..-1 is empty: would divide by zero
+        ({"n_max": -1}, "nonempty"),  # 0..-1 is empty: no twist count to draw
         ({"n_max": -7}, "nonempty"),
         ({"n_max": True}, "integers"),  # a bool is no count
         ({"n_max": None}, "integers"),

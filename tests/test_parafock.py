@@ -464,8 +464,8 @@ class TestMove:
         state2 = pf.create(state, 4, 2, "back")
         with pytest.raises(pf.FockError, match="occupied"):
             pf.move(state2, 2, 4)
-        # the first configuration crosses 6, which sends the move to the
-        # grouped path; the second then fails there
+        # the first configuration crosses 6, so the move takes the exchange
+        # path; the second must still be checked
         missing = pf.StateVector(r, {((2, 1), (6, 2)): .6, ((3, 1), (6, 2)): .8})
         with pytest.raises(pf.FockError, match="no particle"):
             pf.move(missing, 2, 7)

@@ -153,6 +153,23 @@ class TestTriviality:
         assert rm.is_trivial_product(rm.RMatrix(e), 1e-10) is not None
 
 
+BUILTINS = ("paper2d", "paper3d", "braid-fixture", "trivial4", "trivial8")
+
+
+def haar(rng, m):
+    """A Haar-random unitary: the Q of a complex Gaussian's QR, times the
+    phases of the triangular factor's diagonal."""
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, upper = np.linalg.qr(z)
+    return q * (np.diagonal(upper) / np.abs(np.diagonal(upper)))
+
+
+def gauged(r, q):
+    """R in the internal basis q: (Q x Q) as_map(R) (Q x Q)^dagger."""
+    qq = np.kron(q, q)
+    return rm.from_map(qq @ rm.as_map(r) @ qq.conj().T, r.m)
+
+
 class TestSpectralInvariants:
     def test_paper_r_fingerprint(self):
         inv = rm.spectral_invariants(rm.paper_r(+1))
@@ -184,13 +201,21 @@ class TestSpectralInvariants:
         base = rm.spectral_invariants(r)
         rng = np.random.default_rng(11)
         for _ in range(50):
-            z = rng.standard_normal((r.m, r.m)) + 1j * rng.standard_normal((r.m, r.m))
-            q, upper = np.linalg.qr(z)
-            q *= np.diagonal(upper) / np.abs(np.diagonal(upper))
-            qq = np.kron(q, q)
-            gauged = rm.from_map(qq @ rm.as_map(r) @ qq.conj().T, r.m)
-            assert rm.invariants_close(base, rm.spectral_invariants(gauged), tol=1e-9)
-            assert rm.invariants_close(rm.spectral_invariants(gauged), base, tol=1e-9)
+            inv = rm.spectral_invariants(gauged(r, haar(rng, r.m)))
+            assert rm.invariants_close(base, inv, tol=1e-9)
+            assert rm.invariants_close(inv, base, tol=1e-9)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_haar_gauges_keep_the_eigenvalue_order(self, name):
+        """The order follows the rounded values: sorted by their raw real
+        parts, which differ by rounding noise alone, braid-fixture's
+        eigenvalues (1 +- i)/sqrt(2) came out in an order that the gauge picked."""
+        r = rm.builtin_r(name)
+        base = rm.spectral_invariants(r)["eigenvalues"]
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            eigs = rm.spectral_invariants(gauged(r, haar(rng, r.m)))["eigenvalues"]
+            assert np.allclose(eigs, base, rtol=0, atol=1e-9)
 
     def test_eigenvalues_pair_each_partner_once(self):
         inv = rm.spectral_invariants(rm.braid_fixture())
@@ -199,6 +224,34 @@ class TestSpectralInvariants:
         assert not rm.invariants_close(inv, other)
         assert not rm.invariants_close(other, inv)
         assert not rm.invariants_close(inv, dict(inv, eigenvalues=inv["eigenvalues"][:3]))
+
+
+def verify_fields(r):
+    """What verify-r reports of r at the default tolerance."""
+    tol = rm.DEFAULT_TOL
+    passed = [check(r, tol).passed
+              for check in (rm.check_yang_baxter, rm.check_unitary, rm.check_perfect_tensor)]
+    return passed, rm.is_trivial_product(r, tol) is None, rm.spectral_invariants(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from((*BUILTINS, "derived")), monomial=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_verify_r_fields_are_gauge_invariant(gamma_derived, name, monomial, seed):
+    """Haar and permutation x phase gauges change no check, no triviality
+    verdict, the trace, the listed eigenvalues or the singular values."""
+    r = gamma_derived[0] if name == "derived" else rm.builtin_r(name)
+    rng = np.random.default_rng(seed)
+    if monomial:
+        q = np.eye(r.m)[rng.permutation(r.m)] * np.exp(2j * np.pi * rng.random(r.m))
+    else:
+        q = haar(rng, r.m)
+    passed, nontrivial, inv = verify_fields(r)
+    passed_q, nontrivial_q, inv_q = verify_fields(gauged(r, q))
+    assert passed_q == passed and nontrivial_q == nontrivial
+    assert abs(inv_q["trace"] - inv["trace"]) <= 1e-9
+    assert np.array_equal(inv_q["eigenvalues"].round(9), inv["eigenvalues"].round(9))
+    assert np.allclose(inv_q["singular_values"], inv["singular_values"])
 
 
 @settings(max_examples=30, deadline=None)
