@@ -45,6 +45,19 @@ for name in ("Z2", "S3", "D4"):
     out[name] = [[lam.real, lam.imag] for lam in lams]
 print(json.dumps(out))
 """
+# criterion 6's windows on every builtin, then on trivial4 with its column
+# (a, b) = (1, 2) doubled, a non-unitary R that reads 1.5
+EAVESDROP = f"""
+import json
+import numpy as np
+from parastat import game, rmatrix
+rs = [rmatrix.builtin_r(name) for name in {BUILTINS!r}]
+entries = np.array(rmatrix.builtin_r("trivial4").entries)
+entries[:, :, 0, 1] *= 2
+rs.append(rmatrix.RMatrix(entries))
+print(json.dumps([game.eavesdrop_check(r, [[3, 4, 5], [8, 9, 10, 11], [14, 15, 16]], L=20)
+                  for r in rs]))
+"""
 API = {
     "fock_suite.run(1..3)": "import json, fock_suite; "
                             "print(json.dumps([fock_suite.run(s) for s in (1, 2, 3)]))",
@@ -53,6 +66,7 @@ API = {
     "guessing_trials(builtins)": "import json; from parastat import game, rmatrix; print(json.dumps("
                                  "[game.guessing_trials(rmatrix.builtin_r(name), 4000, 2) "
                                  f"for name in {BUILTINS!r}]))",
+    "eavesdrop_check(builtins, scaled trivial4)": EAVESDROP,
 }
 TIMESTAMP = re.compile(rb'^ *"timestamp": "[^"]*",?\n', re.MULTILINE)
 

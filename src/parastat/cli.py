@@ -55,19 +55,24 @@ def _manifest(args, inputs=()) -> dict:
 
 
 def _load_r(args) -> tuple[rmatrix.RMatrix, list]:
-    if getattr(args, "builtin", None):
+    """The R of --builtin or --input; argparse admits exactly one of them."""
+    if args.builtin is not None:
         try:
             return rmatrix.builtin_r(args.builtin), []
         except KeyError as exc:
             raise CliError(str(exc)) from exc
-    if getattr(args, "input", None):
-        try:
-            return rmatrix.load_rmatrix(args.input), [args.input]
-        except rmatrix.RMatrixError:
-            raise  # readable JSON that is no valid R-matrix: a domain failure
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read R-matrix: {exc}") from exc
-    raise CliError("provide --builtin or --input")
+    try:
+        return rmatrix.load_rmatrix(args.input), [args.input]
+    except rmatrix.RMatrixError:
+        raise  # readable JSON that is no valid R-matrix: a domain failure
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read R-matrix: {exc}") from exc
+
+
+def _checks(r: rmatrix.RMatrix, tol: float) -> list:
+    """The reports of the three algebraic checks verify-r and derive-r run."""
+    return [check(r, tol) for check in (rmatrix.check_yang_baxter, rmatrix.check_unitary,
+                                        rmatrix.check_perfect_tensor)]
 
 
 def _jsonable(obj):
@@ -114,13 +119,8 @@ def _emit(args, payload: dict, rows=None) -> None:
 
 def cmd_verify_r(args) -> int:
     r, inputs = _load_r(args)
-    tol = args.tol
-    reports = [
-        rmatrix.check_yang_baxter(r, tol),
-        rmatrix.check_unitary(r, tol),
-        rmatrix.check_perfect_tensor(r, tol),
-    ]
-    factors = rmatrix.is_trivial_product(r, max(tol, 1e-10))
+    reports = _checks(r, args.tol)
+    factors = rmatrix.is_trivial_product(r, max(args.tol, 1e-10))
     nontrivial = factors is None
     inv = rmatrix.spectral_invariants(r)
     payload = {
@@ -145,6 +145,12 @@ def cmd_derive_r(args) -> int:
         inputs.append(args.presentation)
     else:
         pres = group_engine.gamma_presentation()
+    # enumeration defines up to 4 * order_bound cosets of 2k int64 columns for k
+    # generators; their table gets the multiplication table's budget
+    k, budget = len(pres.generators), 8 * ORDER_BOUND_MAX ** 2
+    if 4 * args.order_bound * 2 * k * 8 > budget:
+        raise group_engine.GroupError(f"{k} generators: the coset table at --order-bound "
+                                      f"{args.order_bound} would exceed {budget >> 20} MiB")
     G = group_engine.enumerate_group(pres, args.order_bound)
     payload = {"manifest": _manifest(args, inputs), "group_order": G.order}
     try:
@@ -161,11 +167,7 @@ def cmd_derive_r(args) -> int:
         "d_sigma": inter.sigma.dim,
         "d_psi": inter.psi.dim,
         "derived_supplementary": pres.derived_supplementary,
-        "checks": [
-            rmatrix.check_yang_baxter(derived, args.tol).as_dict(),
-            rmatrix.check_unitary(derived, args.tol).as_dict(),
-            rmatrix.check_perfect_tensor(derived, args.tol).as_dict(),
-        ],
+        "checks": [rep.as_dict() for rep in _checks(derived, args.tol)],
         "invariants": {"trace": inv_d["trace"], "eigenvalues": inv_d["eigenvalues"]},
         "invariants_match_builtin": bool(inv_match),
         "gauge_match_found": q is not None,
@@ -340,8 +342,9 @@ def _finite_in(low: float, high: float = math.inf):
 
 
 def _add_r_source(p):
-    p.add_argument("--builtin", help="paper2d, paper3d, trivial{m}, or braid-fixture")
-    p.add_argument("--input", help="R-matrix JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", help="paper2d, paper3d, trivial{m}, or braid-fixture")
+    source.add_argument("--input", help="R-matrix JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:

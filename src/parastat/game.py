@@ -4,9 +4,10 @@ Two players each receive a secret number in 1..m, encode it in a
 paraparticle's internal label at opposite ends of a chain, transport the
 particles past each other under referee surveillance (no excitation may ever
 appear outside a small window around each particle), measure at the swapped
-corners, and decode each other's number from the exchange outcome.  A
-nontrivial R-matrix whose exchange tensor is a perfect tensor makes the
-decode map a bijection; product-form statistics carry no information.
+corners, and decode each other's number from the exchange outcome.  Decoding
+is a bijection for a nontrivial perfect-tensor R with one nonzero entry per
+column, as the paper's R has in its own basis; a basis change that spreads
+the columns, or product-form statistics, leave the players guessing.
 
 The chain is lane-encoded: site i occupies Fock position 2i, with an
 auxiliary passing slot at 2i+1.  The passing maneuver (step aside, partner
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import group_engine, parafock as pf
 from .group_engine import _normals, _seeded
-from .rmatrix import RMatrix, as_map
+from .rmatrix import RMatrix, as_map, check_unitary
 
 
 # The referee checks both windows after every CHECK_CADENCE-th move.
@@ -68,12 +69,7 @@ class Transcript:
         self.events.append({"event": kind, **info})
 
     def as_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "verdict": self.verdict,
-            "alice_guess": self.alice_guess,
-            "bob_guess": self.bob_guess,
-        }
+        return dict(vars(self))  # shallow: asdict would deep-copy every event
 
 
 @dataclass
@@ -85,13 +81,8 @@ class OutcomeReport:
     mutual_information_bits: dict
 
     def as_dict(self) -> dict:
-        return {
-            "success": bool(self.success),
-            "a_prime": self.a_prime,
-            "b_prime": self.b_prime,
-            "success_table": {f"{a},{b}": v for (a, b), v in self.success_table.items()},
-            "mutual_information_bits": self.mutual_information_bits,
-        }
+        table = {f"{a},{b}": v for (a, b), v in self.success_table.items()}
+        return {**vars(self), "success_table": table}
 
 
 def _rng(seed: int, *key: int):
@@ -106,12 +97,9 @@ def _rng(seed: int, *key: int):
 
 def _unitary_map(r: RMatrix) -> np.ndarray:
     """as_map(r), read as a Born rule by every sweep: GameError unless unitary within 1e-12."""
-    mat = as_map(r)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan
-        residual = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
-    if not residual <= 1e-12:  # a nan residual fails too
+    if not check_unitary(r, 1e-12).passed:  # an overflow reads as inf or nan and fails
         raise GameError("R-matrix not unitary")
-    return mat
+    return as_map(r)
 
 
 def _outcome_probs(r: RMatrix) -> np.ndarray:
@@ -349,17 +337,17 @@ def run_all_pairs(base: GameConfig):
 # fast trial sweeps (exchange outcome only; transport validated separately)
 
 
-def _wins(born: np.ndarray, tables: np.ndarray, trials: int, rng, mat=None,
-          q=None) -> int:
-    """Trials won out of trials, given R's Born table _outcome_probs and decode
-    tables _decode_tables.  Trial t draws secrets a[t], b[t] (0-based), then
-    its outcome b' * m + a' from Born row a[t] * m + b[t]; it is won when both
-    players name the partner's secret.
+def _wins(mat: np.ndarray, tables: np.ndarray, trials: int, rng, q=None) -> int:
+    """Trials won out of trials, given R's map _unitary_map and decode tables
+    _decode_tables.  Trial t draws secrets a[t], b[t] (0-based), then its
+    outcome b' * m + a' from row a[t] * m + b[t] of the Born table |mat|^2
+    transposed (_outcome_probs); it is won when both players name the
+    partner's secret.
 
-    With a scramble probability q (and R's map mat) each label is first
-    replaced, with probability q, by a uniform unit vector of C^m.  A trial
-    with a scrambled label samples its own row |mat psi|^2 for its product
-    state psi instead (an unscrambled trial's row would equal its Born row).
+    With a scramble probability q each label is first replaced, with
+    probability q, by a uniform unit vector of C^m.  A trial with a scrambled
+    label samples its own row |mat psi|^2 for its product state psi instead
+    (an unscrambled trial's row would equal its Born row).
     Those rows and their CDFs are built for a block of about
     group_engine._BLOCK_ENTRIES / m^2 such trials at a time, read at call
     time, and each block is sampled with those trials' uniforms.  So memory
@@ -379,7 +367,7 @@ def _wins(born: np.ndarray, tables: np.ndarray, trials: int, rng, mat=None,
     u = rng.random(trials)
     stay, hit = np.flatnonzero(~hit), np.flatnonzero(hit)
     k = np.empty(trials, dtype=np.intp)
-    k[stay] = _inverse_cdf(_cdf(born), u[stay], (a * m + b)[stay])
+    k[stay] = _inverse_cdf(_cdf(np.abs(mat).T ** 2), u[stay], (a * m + b)[stay])
     if q is not None:
         # z[:, label[s, i]] scrambles slot s of trial hit[i] (slot 0 is
         # Alice's, slot 1 Bob's): z numbers Alice's scrambled labels in trial
@@ -416,7 +404,7 @@ def guessing_trials(r: RMatrix, trials: int, seed: int) -> float:
     if trials < 1:
         raise GameError("trials must be >= 1")
     rng = _rng(seed, 1)
-    return _wins(_outcome_probs(r), _decode_tables(r), trials, rng) / trials
+    return _wins(_unitary_map(r), _decode_tables(r), trials, rng) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +482,10 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
     q = 1 - (1 - p / (2 noise_d + 1))^NOISE_EXPOSURE.  A product of Haar
     unitaries is Haar and takes a fixed state to a uniform unit vector of C^m,
     so a scrambled label is drawn as one normalized complex Gaussian vector:
-    exact in distribution.  Every distance draws from the one Born table
-    _outcome_probs, at row a * m + b; within noise_l a trial with a scrambled
-    label, a share 1 - (1 - q)^2 of them, samples a row of its own, built a
-    block of trials at a time (see _wins).  So memory grows with per-trial
+    exact in distribution.  Every distance passes R's map to _wins, which
+    draws from its Born table at row a * m + b; within noise_l a trial with a
+    scrambled label, a share 1 - (1 - q)^2 of them, samples a row of its own,
+    built a block of trials at a time.  So memory grows with per-trial
     integers and uniforms plus two float64 normals per component of a
     scrambled label, not with trials x m^2 complex rows.
     """
@@ -507,12 +495,11 @@ def noise_experiment(r: RMatrix, trials: int, seed: int, p: float = 0.0,
         raise GameError("noise range and shielding distance must be >= 0")
     if trials < 1:
         raise GameError("trials must be >= 1")
-    mat = _unitary_map(r)
-    born, tables = np.abs(mat).T ** 2, _decode_tables(r)
+    mat, tables = _unitary_map(r), _decode_tables(r)
     # 2 * noise_d + 1 is a Python int, so it cannot overflow
     q = 1.0 - (1.0 - p / (2 * noise_d + 1)) ** NOISE_EXPOSURE
     return [{"distance": dist,
-             "success_rate": _wins(born, tables, trials, _rng(seed, 3, dist), mat,
+             "success_rate": _wins(mat, tables, trials, _rng(seed, 3, dist),
                                    q if dist <= noise_l else None) / trials}
             for dist in range(noise_l + 3)]
 
@@ -528,30 +515,20 @@ def eavesdrop_check(r: RMatrix, windows, L: int = 20) -> float:
     the bulk, exchange completed) and computes the label-blind occupation
     distribution on each window; returns the largest trace distance between
     any two (a, b) choices.  Positions never depend on labels, so this is 0
-    for every R (trivial ones included): it checks that the Fock layer's
-    window observables are label-blind, not a property of the paper's R.
+    for every unitary R (trivial ones included; a non-unitary R reads the
+    spread of the exchanged states' squared norms): it checks that the Fock
+    layer's window observables are label-blind, not a property of the paper's R.
     """
     if L < 2:
         raise GameError("need at least two sites")
-    m = r.m
     mid_lo, mid_hi = 2 * (L // 2 - 1), 2 * (L // 2 + 1)
-    per_pair = {}
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            state = pf.vacuum(r)
-            state = pf.create(state, mid_hi, a, "front")
-            state = pf.create(state, mid_lo, b, "back")  # forces one exchange
-            per_pair[(a, b)] = [
-                pf.window_occupation_distribution(state, [2 * s for s in w])
-                for w in windows
-            ]
+    states = [pf.create(pf.create(pf.vacuum(r), mid_hi, a, "front"), mid_lo, b, "back")
+              for a in range(1, r.m + 1) for b in range(1, r.m + 1)]  # one exchange each
     worst = 0.0
-    pairs = sorted(per_pair)
-    for wi in range(len(windows)):
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                d1, d2 = per_pair[pairs[i]][wi], per_pair[pairs[j]][wi]
-                keys = set(d1) | set(d2)
-                td = 0.5 * sum(abs(d1.get(k, 0.0) - d2.get(k, 0.0)) for k in keys)
-                worst = max(worst, td)
+    for w in windows:
+        dists = [pf.window_occupation_distribution(state, [2 * s for s in w])
+                 for state in states]
+        patterns = sorted(set().union(*dists))
+        p = np.array([[d.get(k, 0.0) for k in patterns] for d in dists])  # [(a, b), pattern]
+        worst = max(worst, float(0.5 * np.abs(p[:, None] - p).sum(axis=2).max()))
     return worst

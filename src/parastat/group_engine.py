@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from .rmatrix import RMatrix, from_map, as_map
+from .rmatrix import RMatrix, as_map, check_unitary, from_map
 
 _MAX_RETRIES = 12
 # Most conjugacy classes irreps and character_table accept: reading the
@@ -609,7 +609,7 @@ def derive_r(inter: Intertwiner) -> RMatrix:
     overlap = w.conj().T @ swapped
     pi = np.einsum("abscds->abcd", overlap.reshape(m, m, ds, m, m, ds)) / ds
     mat = pi.reshape(m * m, m * m)
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(m * m))) > 1e-8:
+    if not check_unitary(from_map(mat, m), 1e-8).passed:
         raise GroupError("inconsistent intertwiner basis")
     # snap a near-integer tensor to integers, kept as complex entries, because
     # game._decode_tables reads the nonzero pattern; + 0.0 turns -0.0 into 0.0

@@ -111,7 +111,14 @@ class TestVerifyR:
 
     def test_missing_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-r")
-        assert code == 2 and "provide --builtin or --input" in err
+        assert code == 2 and "one of the arguments --builtin --input is required" in err
+
+    def test_both_sources_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        rm.save_rmatrix(rm.paper_r(-1), path)
+        code, out, err = run(capsys, "verify-r", "--builtin", "paper3d", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "not allowed with argument --builtin" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "verify-r", "--builtin", "nope")
@@ -214,6 +221,20 @@ class TestDeriveR:
                                     "--presentation", str(pres))
         assert code == 1
         assert "no parastatistical" in payload["error"]
+
+    def test_many_generators_fail_before_enumeration(self, capsys, tmp_path, monkeypatch):
+        # 2000 free generators: the coset table at the default bound would take
+        # 4 * 2048 cosets x 4000 int64 columns, 250 MiB, over the 128 MiB budget
+        def never(*args, **kwargs):
+            raise AssertionError("enumerate_group ran past the generator bound")
+
+        pres = tmp_path / "free.json"
+        pres.write_text(json.dumps({"generators": [f"g{i}" for i in range(2000)],
+                                    "relations": []}))
+        monkeypatch.setattr(ge, "enumerate_group", never)
+        code, out, err = run(capsys, "derive-r", "--presentation", str(pres))
+        assert code == 1 and out == ""
+        assert err.startswith("error: 2000 generators") and "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ("1e-9", "0"))
     def test_exit_code_follows_every_check(self, capsys, tol):

@@ -587,6 +587,14 @@ class TestEavesdrop:
         dev = gm.eavesdrop_check(rm.paper_r(-1), [[8, 9, 10, 11]], L=20)
         assert dev <= 1e-12
 
+    def test_non_unitary_r_reads_the_norm_spread(self):
+        # column (a, b) = (1, 2) doubled: its exchanged state has squared norm
+        # 4 against 1 for every other pair, on every window pattern it shows
+        entries = np.array(rm.builtin_r("trivial4").entries)
+        entries[:, :, 0, 1] *= 2
+        for windows in ([[9, 10, 11]], [[0]]):
+            assert gm.eavesdrop_check(rm.RMatrix(entries), windows, L=20) == 1.5
+
     def test_single_site_chain_rejected(self):
         with pytest.raises(gm.GameError, match="two sites"):
             gm.eavesdrop_check(rm.paper_r(+1), [[1]], L=1)
