@@ -60,7 +60,7 @@ def _load_r(args) -> tuple[rmatrix.RMatrix, list]:
         try:
             return rmatrix.builtin_r(args.builtin), []
         except KeyError as exc:
-            raise CliError(str(exc)) from exc
+            raise CliError(exc.args[0]) from exc  # str() would quote it
     try:
         return rmatrix.load_rmatrix(args.input), [args.input]
     except rmatrix.RMatrixError:

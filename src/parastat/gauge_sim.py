@@ -16,14 +16,15 @@ complex128 array of amplitudes, with a support cap (SUPPORT_CAP) that
 limits groups to desk scale.  Operators act on all configurations at once
 and touch only the digits of the edges they read or change.
 
-Costs.  Every vertex meets an edge to another vertex (GaugeLattice checks
-this), so the gauge action at each vertex is free and each configuration's
-orbit has a key (the member whose element on that edge is the identity)
-found with one table lookup per edge at the vertex: the vertex projector,
-<A_v> and the trapping check sort N keys for N configurations and write or
-read |G| members per orbit.  The ground state solves each plaquette's
-closing edge from its other edges and so builds |G|^(E-P) configurations
-for E edges and P plaquettes.
+Costs.  The gauge action at a vertex v is one [g, h] table per edge at v,
+the change L_v^g makes to a code whose edge holds h, built once per call.
+Every vertex meets an edge to another vertex (GaugeLattice checks this), so
+the action is free and each configuration's orbit has a key (the member
+whose element on that edge is the identity) found with one table lookup per
+edge at the vertex: the vertex projector, <A_v> and the trapping check sort
+N keys for N configurations and write or read |G| members per orbit.  The
+ground state solves each plaquette's closing edge from its other edges and
+so builds |G|^(E-P) configurations for E edges and P plaquettes.
 """
 
 from __future__ import annotations
@@ -300,32 +301,24 @@ def gauge_shift(G: FiniteGroup, lat: GaugeLattice, config: tuple, v: int, g: int
     return tuple(out)
 
 
-def _code_shifts(state: GaugeState, v: int, g: np.ndarray):
-    """(e, shift) for each edge e at v: shift[i, h] is the change L_v^(g[i])
+def _gauge_action(state: GaugeState, v: int) -> dict[int, np.ndarray]:
+    """{e: shift} for each edge e at v: shift[g, h] is the change L_v^g
     makes to a code whose edge e holds h.  On a self-loop at v the tail and
     head rules compose to conjugation."""
     G, h = state.group, np.arange(state.group.order)
+    action = {}
     for e, (tail, head) in enumerate(state.lattice.edges):
-        if v not in (tail, head):
-            continue
-        new = G.mult[h, G.inv[g][:, None]] if tail == v else h
-        new = G.mult[g[:, None], new] if head == v else new
-        yield e, (new - h) * state._place[e]
+        if v in (tail, head):
+            new = G.mult[h, G.inv[:, None]] if tail == v else h
+            new = G.mult[h[:, None], new] if head == v else new
+            action[e] = (new - h) * state._place[e]
+    return action
 
 
-def _shifted_codes(state: GaugeState, codes: np.ndarray, v: int, g: np.ndarray) -> np.ndarray:
-    """out[i, j]: the code of L_v^(g[i]) applied to configuration codes[j].
-    Only the digits of edges at v change."""
-    out = np.repeat(codes[None, :], len(g), axis=0)
-    digits = _Digits(codes, state._place, state.group.order)
-    for e, shift in _code_shifts(state, v, g):
-        out += np.take(shift, digits[e], axis=1)
-    return out
-
-
-def _orbit_keys(state: GaugeState, v: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_keys(state: GaugeState, v: int, action: dict) -> tuple[np.ndarray, np.ndarray]:
     """The code of each configuration's orbit representative under L_v, and
-    the g* with L_v^g* c = key for each configuration c.
+    the g* with L_v^g* c = key for each configuration c; action is
+    _gauge_action(state, v).
 
     L_v^g takes the element h on a non-loop edge e* at v (GaugeLattice
     guarantees one) to h g^-1 (tail) or g h (head), so distinct g give
@@ -335,12 +328,11 @@ def _orbit_keys(state: GaugeState, v: int) -> tuple[np.ndarray, np.ndarray]:
     """
     G, lat = state.group, state.lattice
     free = next(e for e, ends in enumerate(lat.edges) if ends.count(v) == 1)
-    shifts = dict(_code_shifts(state, v, np.arange(G.order)))
     digits = state._digits()
-    old = {e: digits[e] for e in shifts}  # each edge's elements, decoded once
+    old = {e: digits[e] for e in action}  # each edge's elements, decoded once
     g = old[free] if lat.edges[free][0] == v else G.inv[old[free]]
     keys = state.codes.copy()
-    for e, shift in shifts.items():  # shift[g*, old], read from the flat table
+    for e, shift in action.items():  # shift[g*, old], read from the flat table
         keys += shift.ravel().take(g * G.order + old[e])
     return keys, g
 
@@ -352,11 +344,16 @@ def vertex_projector(state: GaugeState, v: int) -> GaugeState:
     the sum of the state over O.
     """
     n = state.group.order
-    keys, sums = _accumulate(_orbit_keys(state, v)[0], state.coeffs)
+    action = _gauge_action(state, v)
+    keys, sums = _accumulate(_orbit_keys(state, v, action)[0], state.coeffs)
     amps = sums / n
     keep = np.abs(amps) > PRUNE
     keys, amps = keys[keep], amps[keep]
-    members = _shifted_codes(state, keys, v, np.arange(n)).ravel()  # g-major
+    members = np.repeat(keys[None, :], n, axis=0)  # members[g, o] = L_v^g keys[o]
+    digits = _Digits(keys, state._place, n)
+    for e, shift in action.items():  # only the digits of edges at v change
+        members += np.take(shift, digits[e], axis=1)
+    members = members.ravel()  # g-major
     order = np.argsort(members)
     return state._capped(members[order], amps[order % len(keys)])
 
@@ -454,7 +451,7 @@ def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int) -> compl
     """
     G, n = state.group, state.group.order
     nrm2 = _norm2(state)
-    keys, g = _orbit_keys(state, v)
+    keys, g = _orbit_keys(state, v, _gauge_action(state, v))
     reps = np.sort(keys)
     reps = reps[_firsts(reps)]
     if len(reps) * n > SUPPORT_CAP:
@@ -491,7 +488,8 @@ def vertex_expectations(state: GaugeState) -> list[float]:
     configuration and one sort of the keys, with no projected state.
     """
     nrm2, n = _norm2(state), state.group.order
-    return [float(_mass(_accumulate(_orbit_keys(state, v)[0], state.coeffs)[1]) / n / nrm2)
+    return [float(_mass(_accumulate(_orbit_keys(state, v, _gauge_action(state, v))[0],
+                                    state.coeffs)[1]) / n / nrm2)
             for v in range(state.lattice.n_vertices)]
 
 
@@ -505,10 +503,10 @@ def plaquette_expectations(state: GaugeState) -> list[float]:
 def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0) -> dict:
     """Max residuals of projector identities on RESIDUAL_SAMPLES random test states.
 
-    Checks idempotence of every vertex/plaquette projector and commutation
-    of every (vertex, vertex), (vertex, plaquette) pair by applying both
-    orderings to random sparse states (operator matrices for |G|^E
-    dimensions are never materialized).  All samples travel in one batch
+    Checks idempotence of each of the V + P vertex and plaquette projectors
+    and commutation of every pair of them, plaquette pairs included, by
+    applying both orderings to random sparse states (operator matrices for
+    |G|^E dimensions are never materialized).  All samples travel in one batch
     state, sample k's codes offset by k |G|^E, so each projector runs once;
     the support cap and every residual are per sample.  GaugeError when the
     batch's codes, up to RESIDUAL_SAMPLES |G|^E - 1, do not fit int64.

@@ -123,12 +123,14 @@ class TestVerifyR:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "verify-r", "--builtin", "nope")
         assert code == 2
+        assert err == "error: unknown builtin R-matrix: 'nope'\n"
 
     @pytest.mark.parametrize("name", ("trivial0", "trivial9", "trivial64", "trivial100000"))
     def test_builtin_size_out_of_range(self, capsys, name):
         code, out, err = run(capsys, "verify-r", "--builtin", name)
         assert code == 2 and out == ""
         assert "1..8" in err and "Traceback" not in err
+        assert err.startswith(f"error: builtin '{name}': ")  # no quotes round the message
 
 
 class TestManifest:

@@ -531,13 +531,20 @@ class TestBatchedAgainstReference:
 
 class TestBatchEdges:
     def test_self_loop_action_is_conjugation(self, small_groups):
-        # L_2^g maps the self-loop e2 = h to g h g^-1 and the link e4 = 1 to g
+        # L_2^g maps the self-loop e2 = h to g h g^-1 and the link e4 = 1 to g;
+        # the action table's code changes must land on the same configuration
         G = small_groups["S3"]
         lat = looped()
         for g in range(G.order):
             for h in range(G.order):
                 shifted = gs.gauge_shift(G, lat, (0, 0, h, 0, 0), 2, g)
                 assert shifted == (0, 0, G.mult[G.mult[g, h], G.inv[g]], 0, g)
+                state = gs.GaugeState(G, lat, {(0, 0, h, 0, 0): 1.0})
+                action = gs._gauge_action(state, 2)
+                assert sorted(action) == [2, 4]
+                digits = {2: h, 4: 0}  # the elements L_2^g reads on e2 and e4
+                code = state.codes[0] + sum(action[e][g, digits[e]] for e in action)
+                assert code == gs.GaugeState(G, lat, {shifted: 1.0}).codes[0]
 
     @pytest.mark.parametrize("seed", (-3, -1, 1.5, "3", None))
     def test_seed_that_is_negative_or_no_integer_rejected(self, small_groups, patch, seed):
@@ -573,7 +580,7 @@ class TestBatchEdges:
         batch = one._like(np.concatenate((one.codes, two.codes + block)),
                           np.concatenate((one.coeffs, two.coeffs)))
 
-        keys, _ = gs._orbit_keys(batch, 0)
+        keys, _ = gs._orbit_keys(batch, 0, gs._gauge_action(batch, 0))
         assert len(set(keys.tolist())) == 2  # one orbit per sample
         monkeypatch.setattr(gs, "SUPPORT_CAP", 6)
         assert len(gs.vertex_projector(batch, 0).codes) == 12
@@ -640,12 +647,13 @@ class TestOrbitKernels:
         G, lat = small_groups["S3"], LATTICES[shape]()
         state = gs.GaugeState(G, lat, random_amps(G, lat, 52, n=20))
         for v in range(lat.n_vertices):
-            keys, g_star = gs._orbit_keys(state, v)
+            keys, g_star = gs._orbit_keys(state, v, gs._gauge_action(state, v))
             for config, key, g in zip(state.amps, keys, g_star):
                 orbit = {gs.gauge_shift(G, lat, config, v, x) for x in range(G.order)}
                 members = gs.GaugeState(G, lat, dict.fromkeys(orbit, 1.0))
                 assert key in members.codes
-                assert set(gs._orbit_keys(members, v)[0].tolist()) == {key}
+                keys_of_members = gs._orbit_keys(members, v, gs._gauge_action(members, v))[0]
+                assert set(keys_of_members.tolist()) == {key}
                 shifted = gs.gauge_shift(G, lat, config, v, int(g))
                 assert gs.GaugeState(G, lat, {shifted: 1.0}).codes[0] == key
 
