@@ -169,8 +169,10 @@ def presentation_from_dict(data: dict) -> GroupPresentation:
             raise TypeError("generators, relations and each relator must be JSON arrays")
         if not isinstance(supplementary, bool):
             raise TypeError("derived_supplementary must be a JSON boolean")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise GroupError(f"malformed presentation: {exc!r}") from exc
+    except KeyError as exc:
+        raise GroupError(f"malformed presentation: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise GroupError(f"malformed presentation: {exc}") from exc
     if not all(isinstance(tok, str) for word in [gens, *rels] for tok in word):
         raise GroupError("generator names and relator tokens must be strings")
     return GroupPresentation(tuple(gens), tuple(map(tuple, rels)), supplementary)

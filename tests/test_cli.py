@@ -571,6 +571,55 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor():
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    probe = ("import os, sys, parastat.cli as cli\n"
+             "before = len(os.listdir('/proc/self/fd'))\n"
+             "code = cli.main(['verify-r', '--builtin', 'paper3d'])\n"
+             "print(code, len(os.listdir('/proc/self/fd')) - before, file=sys.stderr)")
+    read, write = os.pipe()
+    os.close(read)  # stdout is a pipe with no reader
+    try:
+        done = subprocess.run([sys.executable, "-c", probe], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == ["1", "0"]
+
+
+def test_cli_import_freezes_the_heap_at_exit(tmp_path):
+    # exit hooks run last-in, first-out: the probe, registered before the
+    # imports, runs after every hook that they register
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import atexit, gc\n"
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+             "import {}")
+    for modules, frozen in (("parastat.cli", "True"),
+                            ("parastat, parastat.parafock, parastat.game, parastat.gauge_sim",
+                             "False")):
+        done = subprocess.run([sys.executable, "-c", probe.format(modules)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == frozen, modules
+
+    # the console entry's exit path still writes every file in full
+    report, derived = tmp_path / "R.json", tmp_path / "D.json"
+    for argv in (["--out", str(report), "verify-r", "--builtin", "paper3d"],
+                 ["derive-r", "--out-r", str(derived)]):
+        done = subprocess.run([sys.executable, "-m", "parastat.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert json.loads(report.read_text())["m"] == 4
+    assert rm.check_unitary(rm.load_rmatrix(derived)).passed
+
+
 @pytest.mark.parametrize("name", ("missing.json", ".", "enumeration_fixtures.json"))
 def test_unusable_presentation_exits_cleanly(capsys, name):
     path = Path(__file__).parent / name
@@ -586,6 +635,7 @@ def test_unusable_presentation_exits_cleanly(capsys, name):
     ({"generators": ["a", "a"], "relations": [["a", "a"]]}, "duplicate generator"),
     ({"generators": ["a"], "relations": [["a", "a"]], "derived_supplementary": "false"},
      "JSON boolean"),
+    ({"relations": []}, "error: malformed presentation: missing key 'generators'\n"),
 ))
 def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
     path = tmp_path / "pres.json"
@@ -593,6 +643,7 @@ def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
     code, out, err = run(capsys, "derive-r", "--presentation", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and error in err and "Traceback" not in err
+    assert "Error(" not in err  # a bare message, not an exception's repr
 
 
 # argv fuzzing: every subcommand with odd, huge, out-of-range or missing values
