@@ -118,6 +118,9 @@ def runs():
     for group in ("Z2", "S3", "D4"):
         yield (f"gauge-check --group {group}",
                ["-m", "parastat.cli", "gauge-check", "--group", group], [])
+    for group in ("Z2", "S3", "D4"):
+        yield (f"gauge-check --group {group} --patch ladder",
+               ["-m", "parastat.cli", "gauge-check", "--group", group, "--patch", "ladder"], [])
     for label, code in API.items():
         yield label, ["-c", code], []
 

@@ -75,7 +75,7 @@ def _load_r(args) -> tuple[rmatrix.RMatrix, list]:
         return rmatrix.load_rmatrix(args.input), [args.input]
     except rmatrix.RMatrixError:
         raise  # readable JSON that is no valid R-matrix: a domain failure
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read R-matrix: {exc}") from exc
 
 
@@ -150,7 +150,7 @@ def cmd_derive_r(args) -> int:
     if args.presentation:
         try:
             pres = group_engine.load_presentation(args.presentation)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot read presentation: {exc}") from exc
         inputs.append(args.presentation)
     else:
@@ -249,46 +249,11 @@ def cmd_gauge_check(args) -> int:
     if args.group not in group_engine.NAMED_PRESENTATIONS:
         raise CliError(f"unknown group {args.group!r}")
     G = group_engine.enumerate_group(group_engine.NAMED_PRESENTATIONS[args.group]())
-    lat, wilson, homotopic, endpoints = gauge_sim.PATCHES[args.patch]
-    # the ground state refuses oversized groups at once; the projector checks
-    # would first spend seconds on them.  Neither call draws the other's numbers.
-    g0 = gauge_sim.ground_state(G, lat)
-    residuals = gauge_sim.commutator_residuals(G, lat, seed=args.seed)
-    va = gauge_sim.vertex_expectations(g0)
-    pa = gauge_sim.plaquette_expectations(g0)
-    reps = group_engine.irreps(G)
-    # most structured nontrivial irrep: largest dimension, then least trivial
-    psi = max(reps, key=lambda rep: (rep.dim, float(np.sum(np.abs(rep.character - 1)))))
-    line = gauge_sim.WilsonLine(psi, wilson)
-    excited = gauge_sim.apply_wilson_line(g0, line, 0, 0)
-    vexc = gauge_sim.vertex_expectations(excited)
-    deform = gauge_sim.verify_deformation(
-        g0, line, gauge_sim.WilsonLine(psi, homotopic), 0, 0
-    )
-    ground_ok = (max(abs(x - 1.0) for x in va + pa) <= 1e-10)
-    endpoints_ok = all(
-        x < 1 - 1e-6 if v in endpoints else abs(x - 1.0) <= 1e-10
-        for v, x in enumerate(vexc)
-    )
-    ok = (
-        residuals["idempotence"] <= 1e-10
-        and residuals["commutation"] <= 1e-10
-        and ground_ok
-        and endpoints_ok
-        and deform <= 1e-10
-    )
-    payload = {
-        "manifest": _manifest(args),
-        "group": args.group,
-        "group_order": G.order,
-        "projector_residuals": residuals,
-        "ground_state_expectations": {"vertices": va, "plaquettes": pa},
-        "wilson_endpoint_expectations": vexc,
-        "deformation_deviation": deform,
-        "passed": bool(ok),
-    }
+    report = gauge_sim.gauge_check(G, args.patch, seed=args.seed)
+    payload = {"manifest": _manifest(args), "group": args.group, "group_order": G.order,
+               **report}
     _emit(args, payload)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ edge at the vertex: the vertex projector, <A_v> and the trapping check sort
 N keys for N configurations and write or read |G| members per orbit.  The
 ground state solves each plaquette's closing edge from its other edges and
 so builds |G|^(E-P) configurations for E edges and P plaquettes.
+
+gauge_check is the whole validation of one group on one of PATCHES, shared
+by the gauge-check subcommand and the acceptance suite: projector
+residuals, ground-state expectations, the excitations of a Wilson line in
+wilson_irrep(G), its deformation and trapping at both of its endpoints.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_engine import FiniteGroup, Irrep, _normals, _seeded
+from .group_engine import FiniteGroup, Irrep, _normals, _seeded, irreps
 
 PRUNE = 1e-14  # amplitudes at or below this are dropped after a merge
 SUPPORT_CAP = 10 ** 6  # most configurations a state, or one sample of a batch, may hold
@@ -548,3 +553,61 @@ def commutator_residuals(G: FiniteGroup, lat: GaugeLattice, seed: int = 0) -> di
             (i1, op1), (i2, op2) = ops[x], ops[y]
             comm = max(comm, worst(op1(applied[y], i1), op2(applied[x], i2)))
     return {"idempotence": idem, "commutation": comm}
+
+
+def wilson_irrep(G: FiniteGroup) -> Irrep:
+    """The most structured irrep: the largest dimension, then the character
+    farthest from the trivial one."""
+    return max(irreps(G), key=lambda rep: (rep.dim, float(np.sum(np.abs(rep.character - 1)))))
+
+
+def gauge_check(G: FiniteGroup, patch: str = "2x2", seed: int = 0) -> dict:
+    """Validate the quantum-double model of G on PATCHES[patch].
+
+    The report holds the projector residuals (commutator_residuals with
+    seed), <A_v> and <B_p> on the ground state, <A_v> after the Wilson line
+    in psi = wilson_irrep(G) with open indices (0, 0), the largest deviation
+    between the line and its homotopic path over every (a, b), and the
+    largest |lambda - expected| of trapping_check at the end vertex for every
+    (phi, c) and at the start vertex for (conjugate psi, 0).  passed needs
+    residuals and deformation at most 1e-10, ground-state and unexcited
+    values within 1e-10 of 1, both endpoints below 1 - 1e-6 and trapping
+    within 1e-8.  A group whose ground state exceeds SUPPORT_CAP raises
+    GaugeError before any projector check runs.
+    """
+    lat, path, homotopic, (start, end) = PATCHES[patch]
+    # the ground state refuses oversized groups at once; the projector checks
+    # would first spend seconds on them.  Neither call draws the other's numbers.
+    g0 = ground_state(G, lat)
+    residuals = commutator_residuals(G, lat, seed=seed)
+    va, pa = vertex_expectations(g0), plaquette_expectations(g0)
+    psi = wilson_irrep(G)
+    line, moved = WilsonLine(psi, path), WilsonLine(psi, homotopic)
+    excited = apply_wilson_line(g0, line, 0, 0)
+    vexc = vertex_expectations(excited)
+    deform = float(np.max([verify_deformation(g0, line, moved, a, b)
+                           for a in range(psi.dim) for b in range(psi.dim)]))
+    # |G|/d_psi where (phi, c) is (psi, 0) at the end or (conjugate psi, 0) at
+    # the start, 0 for every other component at the end
+    want = G.order / psi.dim
+    trapped = [abs(trapping_check(excited, end, phi, c)
+                   - (want if (phi.index, c) == (psi.index, 0) else 0.0))
+               for phi in irreps(G) for c in range(phi.dim)]
+    trapped.append(abs(trapping_check(excited, start, conjugate_irrep(psi), 0) - want))
+    trapping = float(np.max(trapped))
+    passed = (
+        all(r <= 1e-10 for r in residuals.values())
+        and all(abs(x - 1.0) <= 1e-10 for x in va + pa)
+        and all(x < 1 - 1e-6 if v in (start, end) else abs(x - 1.0) <= 1e-10
+                for v, x in enumerate(vexc))
+        and deform <= 1e-10
+        and trapping <= 1e-8
+    )
+    return {
+        "projector_residuals": residuals,
+        "ground_state_expectations": {"vertices": va, "plaquettes": pa},
+        "wilson_endpoint_expectations": vexc,
+        "deformation_deviation": deform,
+        "trapping_deviation": trapping,
+        "passed": bool(passed),
+    }

@@ -162,6 +162,8 @@ class GroupPresentation:
 
 
 def presentation_from_dict(data: dict) -> GroupPresentation:
+    if not isinstance(data, dict):
+        raise GroupError("malformed presentation: top level must be a JSON object")
     try:
         gens, rels = data["generators"], data["relations"]
         supplementary = data.get("derived_supplementary", False)
@@ -171,7 +173,7 @@ def presentation_from_dict(data: dict) -> GroupPresentation:
             raise TypeError("derived_supplementary must be a JSON boolean")
     except KeyError as exc:
         raise GroupError(f"malformed presentation: missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise GroupError(f"malformed presentation: {exc}") from exc
     if not all(isinstance(tok, str) for word in [gens, *rels] for tok in word):
         raise GroupError("generator names and relator tokens must be strings")

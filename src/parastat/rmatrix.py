@@ -286,6 +286,8 @@ def load_rmatrix(source) -> RMatrix:
     else:
         with open(source) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise RMatrixError("malformed R-matrix file: top level must be a JSON object")
     try:
         m = _whole(data["m"])
         rows = list(data["entries"])

@@ -81,6 +81,8 @@ class TestVerifyR:
         {"m": 2.9, "entries": []},
         {"m": 2, "entries": [[1.7, 1, 1, 1, 1.0, 0.0]]},
         {"m": 2, "entries": [[True, 1, 1, 1, 1.0, 0.0]]},
+        [],
+        None,
     ))
     def test_invalid_r_matrix_is_domain_failure(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
@@ -88,6 +90,15 @@ class TestVerifyR:
         code, out, err = run(capsys, "verify-r", "--input", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "indices must" not in err and "object is not" not in err
+
+    def test_deeply_nested_input_is_usage_error(self, capsys, tmp_path):
+        # json's recursive decoder raises RecursionError, not a ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        code, out, err = run(capsys, "verify-r", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read R-matrix") and err.count("\n") == 1
 
     def test_overflowing_r_gives_strict_json_and_no_warnings(self, tmp_path):
         # R^dagger R and the braid products overflow: every residual is nan
@@ -442,6 +453,14 @@ class TestGaugeCheck:
         vexc = payload["wilson_endpoint_expectations"]
         assert vexc[0] < 1 and vexc[3] < 1
         assert payload["deformation_deviation"] <= 1e-10
+        assert payload["trapping_deviation"] <= 1e-8
+
+    def test_failed_trapping_fails_the_check(self, capsys, monkeypatch):
+        # every eigenvalue 0 misses |G|/d_psi at both endpoints
+        monkeypatch.setattr(cli.gauge_sim, "trapping_check", lambda *args: 0.0)
+        code, payload, _ = run_json(capsys, "gauge-check", "--group", "S3")
+        assert code == 1 and payload["passed"] is False
+        assert payload["trapping_deviation"] == 3.0
 
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, "gauge-check", "--group", "A5")
@@ -460,6 +479,7 @@ class TestGaugeCheck:
         # the line runs v0 -> v1 -> v2: only its endpoints are excited
         assert vexc[0] < 1 - 1e-6 and vexc[2] < 1 - 1e-6
         assert all(abs(vexc[v] - 1) <= 1e-10 for v in (1, 3, 4, 5))
+        assert payload["trapping_deviation"] <= 1e-8
 
     def test_ladder_cap(self, capsys, monkeypatch):
         # solving both closing edges builds 8^5 ground-state rows for D4 on
@@ -636,6 +656,8 @@ def test_unusable_presentation_exits_cleanly(capsys, name):
     ({"generators": ["a"], "relations": [["a", "a"]], "derived_supplementary": "false"},
      "JSON boolean"),
     ({"relations": []}, "error: malformed presentation: missing key 'generators'\n"),
+    ([], "top level must be a JSON object"),
+    (None, "top level must be a JSON object"),
 ))
 def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
     path = tmp_path / "pres.json"
@@ -644,6 +666,16 @@ def test_malformed_presentation_exits_1(capsys, tmp_path, data, error):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and error in err and "Traceback" not in err
     assert "Error(" not in err  # a bare message, not an exception's repr
+    assert "indices must" not in err and "object is not" not in err
+
+
+def test_deeply_nested_presentation_is_usage_error(capsys, tmp_path):
+    # json's recursive decoder raises RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    code, out, err = run(capsys, "derive-r", "--presentation", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read presentation") and err.count("\n") == 1
 
 
 # argv fuzzing: every subcommand with odd, huge, out-of-range or missing values

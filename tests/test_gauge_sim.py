@@ -18,8 +18,7 @@ def ladder():
 
 
 def nontrivial_irrep(G):
-    return max(ge.irreps(G),
-               key=lambda r: (r.dim, float(np.abs(r.character - 1.0).sum())))
+    return gs.wilson_irrep(G)
 
 
 class TestLattices:
@@ -206,7 +205,7 @@ class TestTrapping:
     def test_paper_group(self, gamma, patch, monkeypatch):
         # the order-128 group on the patch: 128^3 flat configurations
         monkeypatch.setattr(gs, "SUPPORT_CAP", 2 ** 21)
-        # cmd_gauge_check's psi: largest dimension, then least trivial
+        # gauge_check's psi: largest dimension, then least trivial
         psi = nontrivial_irrep(gamma)
         g0 = gs.ground_state(gamma, patch)
         exc = gs.apply_wilson_line(g0, gs.WilsonLine(psi, ((0, +1), (3, +1))), 0, 0)

@@ -80,7 +80,8 @@ class TestEnumeration:
         assert ge.load_presentation(path) == pres
 
     @pytest.mark.parametrize("data", ({"relations": []}, {"generators": 3, "relations": []},
-                                      {"generators": ["a"], "relations": [["a", 2]]}))
+                                      {"generators": ["a"], "relations": [["a", 2]]},
+                                      [], None))
     def test_malformed_presentation_rejected(self, data):
         with pytest.raises(ge.GroupError):
             ge.presentation_from_dict(data)

@@ -304,9 +304,14 @@ class TestSerialization:
         with pytest.raises(rm.RMatrixError):
             rm.load_rmatrix({"m": 2, "entries": rows})
 
-    def test_rejects_malformed(self):
+    def test_rejects_malformed(self, tmp_path):
         with pytest.raises(rm.RMatrixError):
             rm.load_rmatrix({"entries": []})
+        path = tmp_path / "r.json"
+        for top in ("[]", "null"):
+            path.write_text(top)
+            with pytest.raises(rm.RMatrixError, match="top level must be a JSON object"):
+                rm.load_rmatrix(path)
         with pytest.raises(rm.RMatrixError):
             rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1.0]]})
         for entries in (None, [None], [[1, None, 1, 1, 1.0, 0.0]],
