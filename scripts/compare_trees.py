@@ -68,6 +68,16 @@ API = {
                                  f"for name in {BUILTINS!r}]))",
     "eavesdrop_check(builtins, scaled trivial4)": EAVESDROP,
 }
+# malformed inputs, written into each run directory before the runs: each
+# must give one `error:` line, exit 2 when it is no readable JSON, else exit 1
+MALFORMED = {
+    "deep.json": b"[" * 1000 + b"]" * 1000,  # past json's recursion limit
+    "entries_null.json": b'{"m": 2, "entries": null}',
+    "entries_string.json": b'{"m": 2, "entries": "abcdef"}',
+    "row_object.json": b'{"m": 2, "entries": [{"a": 1, "b": 2}]}',
+    "top_array.json": b"[]",
+    "latin1.json": '{"m": 2, "entries": [], "note": "\u00e9"}'.encode("latin-1"),
+}
 TIMESTAMP = re.compile(rb'^ *"timestamp": "[^"]*",?\n', re.MULTILINE)
 
 
@@ -123,12 +133,20 @@ def runs():
                ["-m", "parastat.cli", "gauge-check", "--group", group, "--patch", "ladder"], [])
     for label, code in API.items():
         yield label, ["-c", code], []
+    for name in MALFORMED:
+        yield (f"verify-r --input {name}",
+               ["-m", "parastat.cli", "verify-r", "--input", name], [])
+    for name in ("deep.json", "top_array.json", "latin1.json"):
+        yield (f"derive-r --presentation {name}",
+               ["-m", "parastat.cli", "derive-r", "--presentation", name], [])
 
 
 def outputs(tree: Path, work: Path):
     """{label: bytes} of every run on one tree, in order."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tree / "src"), str(tree / "perfbench")]))
+    for name, blob in MALFORMED.items():
+        (work / name).write_bytes(blob)
     result = {}
     for label, argv, files in runs():
         proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,

@@ -41,16 +41,23 @@ class CliError(Exception):
     """A usage or parse error: exit 2."""
 
 
-def _digest(path) -> str:
+def _read_json(path, what: str) -> tuple[object, dict]:
+    """The JSON value in the file at path and {path: sha256 of its bytes}, read
+    once; an unreadable file, no UTF-8 JSON or nesting past json's recursion
+    limit is a usage error."""
     # hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS and a few ms), so
     # only a run that reads an input file imports it
     import hashlib
 
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return json.loads(blob.decode()), {path: hashlib.sha256(blob).hexdigest()}
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read {what}: {exc}") from exc
 
 
-def _manifest(args, inputs=()) -> dict:
+def _manifest(args, digests=()) -> dict:
     return {
         "command": args.command,
         "config": {
@@ -60,23 +67,20 @@ def _manifest(args, inputs=()) -> dict:
         "seed": args.seed,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "input_digests": {str(p): _digest(p) for p in inputs},
+        "input_digests": dict(digests),
     }
 
 
-def _load_r(args) -> tuple[rmatrix.RMatrix, list]:
-    """The R of --builtin or --input; argparse admits exactly one of them."""
+def _load_r(args) -> tuple[rmatrix.RMatrix, dict]:
+    """The R of --builtin or --input, and the input's digest; argparse admits
+    exactly one of them."""
     if args.builtin is not None:
         try:
-            return rmatrix.builtin_r(args.builtin), []
+            return rmatrix.builtin_r(args.builtin), {}
         except KeyError as exc:
             raise CliError(exc.args[0]) from exc  # str() would quote it
-    try:
-        return rmatrix.load_rmatrix(args.input), [args.input]
-    except rmatrix.RMatrixError:
-        raise  # readable JSON that is no valid R-matrix: a domain failure
-    except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"cannot read R-matrix: {exc}") from exc
+    data, digests = _read_json(args.input, "R-matrix")
+    return rmatrix.rmatrix_from_dict(data), digests
 
 
 def _checks(r: rmatrix.RMatrix, tol: float) -> list:
@@ -128,13 +132,13 @@ def _emit(args, payload: dict, rows=None) -> None:
 
 
 def cmd_verify_r(args) -> int:
-    r, inputs = _load_r(args)
+    r, digests = _load_r(args)
     reports = _checks(r, args.tol)
     factors = rmatrix.is_trivial_product(r, max(args.tol, 1e-10))
     nontrivial = factors is None
     inv = rmatrix.spectral_invariants(r)
     payload = {
-        "manifest": _manifest(args, inputs),
+        "manifest": _manifest(args, digests),
         "m": r.m,
         "checks": [rep.as_dict() for rep in reports],
         "nontrivial": nontrivial,
@@ -146,15 +150,11 @@ def cmd_verify_r(args) -> int:
 
 
 def cmd_derive_r(args) -> int:
-    inputs = []
     if args.presentation:
-        try:
-            pres = group_engine.load_presentation(args.presentation)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CliError(f"cannot read presentation: {exc}") from exc
-        inputs.append(args.presentation)
+        data, digests = _read_json(args.presentation, "presentation")
+        pres = group_engine.presentation_from_dict(data)
     else:
-        pres = group_engine.gamma_presentation()
+        pres, digests = group_engine.gamma_presentation(), {}
     # enumeration defines up to 4 * order_bound cosets of 2k int64 columns for k
     # generators; their table gets the multiplication table's budget
     k, budget = len(pres.generators), 8 * ORDER_BOUND_MAX ** 2
@@ -162,7 +162,7 @@ def cmd_derive_r(args) -> int:
         raise group_engine.GroupError(f"{k} generators: the coset table at --order-bound "
                                       f"{args.order_bound} would exceed {budget >> 20} MiB")
     G = group_engine.enumerate_group(pres, args.order_bound)
-    payload = {"manifest": _manifest(args, inputs), "group_order": G.order}
+    payload = {"manifest": _manifest(args, digests), "group_order": G.order}
     try:
         inter, derived = group_engine.find_para_pair(G)
     except group_engine.GroupError as exc:
@@ -193,12 +193,12 @@ def cmd_derive_r(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    r, inputs = _load_r(args)
+    r, digests = _load_r(args)
     try:
         cfg = game.GameConfig(L=args.L, r=r, a=args.a, b=args.b, seed=args.seed, r0=args.r0)
     except game.GameError as exc:
         raise CliError(str(exc)) from exc
-    payload = {"manifest": _manifest(args, inputs)}
+    payload = {"manifest": _manifest(args, digests)}
     if args.all_pairs:
         table = {}
         for _, report in game.run_all_pairs(cfg):
@@ -222,10 +222,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    r, inputs = _load_r(args)
+    r, digests = _load_r(args)
     result = game.twist_experiment(r, args.n_max, args.trials, args.seed)
     payload = {
-        "manifest": _manifest(args, inputs),
+        "manifest": _manifest(args, digests),
         "success_rate": result["success_rate"],
         "rho_b_n_deviation": result["rho_b_n_deviation"],
         "n_support": result["n_support"],
@@ -235,10 +235,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    r, inputs = _load_r(args)
+    r, digests = _load_r(args)
     curve = game.noise_experiment(r, args.trials, args.seed, args.p,
                                   args.noise_d, args.noise_l)
-    payload = {"manifest": _manifest(args, inputs), "curve": curve}
+    payload = {"manifest": _manifest(args, digests), "curve": curve}
     rows = [{"distance": pt["distance"], "success_rate": pt["success_rate"]}
             for pt in curve]
     _emit(args, payload, rows=rows)

@@ -161,28 +161,23 @@ class GroupPresentation:
                     raise GroupError(f"relation references undeclared generator {tok!r}")
 
 
-def presentation_from_dict(data: dict) -> GroupPresentation:
+def presentation_from_dict(data) -> GroupPresentation:
+    """The presentation in a parsed JSON object; each error names the field."""
     if not isinstance(data, dict):
         raise GroupError("malformed presentation: top level must be a JSON object")
-    try:
-        gens, rels = data["generators"], data["relations"]
-        supplementary = data.get("derived_supplementary", False)
-        if not all(isinstance(w, list) for w in [gens, rels, *rels]):
-            raise TypeError("generators, relations and each relator must be JSON arrays")
-        if not isinstance(supplementary, bool):
-            raise TypeError("derived_supplementary must be a JSON boolean")
-    except KeyError as exc:
-        raise GroupError(f"malformed presentation: missing key {exc}") from exc
-    except TypeError as exc:
-        raise GroupError(f"malformed presentation: {exc}") from exc
+    for key in ("generators", "relations"):
+        if key not in data:
+            raise GroupError(f"malformed presentation: missing key {key!r}")
+    gens, rels = data["generators"], data["relations"]
+    supplementary = data.get("derived_supplementary", False)
+    if not (isinstance(rels, list) and all(isinstance(w, list) for w in [gens, *rels])):
+        raise GroupError("malformed presentation: generators, relations and each relator "
+                         "must be JSON arrays")
+    if not isinstance(supplementary, bool):
+        raise GroupError("malformed presentation: derived_supplementary must be a JSON boolean")
     if not all(isinstance(tok, str) for word in [gens, *rels] for tok in word):
         raise GroupError("generator names and relator tokens must be strings")
     return GroupPresentation(tuple(gens), tuple(map(tuple, rels)), supplementary)
-
-
-def load_presentation(path) -> GroupPresentation:
-    with open(path) as fh:
-        return presentation_from_dict(json.load(fh))
 
 
 def z2_presentation() -> GroupPresentation:

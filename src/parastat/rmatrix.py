@@ -274,50 +274,52 @@ def _whole(x) -> int:
     return int(x)
 
 
-def load_rmatrix(source) -> RMatrix:
-    """Read the sparse JSON form.
-
-    Rejects an m that is no integer or lies outside 1..MAX_M before the
-    dense tensor is allocated, then rows that are not six numbers, indices
-    that are no integers or out of range, duplicates and non-finite values.
-    """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
+def rmatrix_from_dict(data) -> RMatrix:
+    """The R-matrix in a parsed sparse JSON form.  Rejects, naming the field, a
+    top level that is no object, an m that is no integer or lies outside
+    1..MAX_M before the dense tensor is allocated, then an entries that is no
+    array, rows that are not arrays of six numbers, indices that are no
+    integers or out of range, duplicates and non-finite values."""
     if not isinstance(data, dict):
         raise RMatrixError("malformed R-matrix file: top level must be a JSON object")
     try:
-        m = _whole(data["m"])
-        rows = list(data["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RMatrixError(f"malformed R-matrix file: {exc}") from exc
+        m, rows = _whole(data["m"]), data["entries"]
+    except KeyError as exc:
+        raise RMatrixError(f"malformed R-matrix file: missing key {exc}") from exc
+    except TypeError as exc:
+        raise RMatrixError(f"malformed R-matrix file: m is {exc}") from exc
+    if not isinstance(rows, list):
+        raise RMatrixError("malformed R-matrix file: entries must be a JSON array, got "
+                           + json.dumps(rows, default=repr)[:40])
     if not 1 <= m <= MAX_M:
         raise RMatrixError(f"m must lie in 1..{MAX_M}, got {m}")
     entries = np.zeros((m, m, m, m), dtype=np.complex128)
-    values = {}  # 1-based index tuple -> value, in file order
+    seen = set()  # 1-based index tuples
     for row in rows:
+        if not (isinstance(row, list) and len(row) == 6):
+            raise RMatrixError(f"malformed entry row {row!r}: not a JSON array of six numbers")
         try:
-            bp, ap, a, b, re, im = row
-            bp, ap, a, b = (_whole(i) for i in (bp, ap, a, b))
-            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
-                raise TypeError(f"not a number: {re!r} or {im!r}")
-            value = complex(re, im)
-        except (TypeError, ValueError, OverflowError) as exc:
+            key = tuple(_whole(i) for i in row[:4])
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in row[4:]):
+                raise TypeError(f"not a number: {row[4]!r} or {row[5]!r}")
+            value = complex(*row[4:])
+        except (TypeError, OverflowError) as exc:
             raise RMatrixError(f"malformed entry row {row!r}: {exc}") from exc
-        for i in (bp, ap, a, b):
-            if not 1 <= i <= m:
-                raise RMatrixError(f"index out of range 1..{m}: {row}")
-        key = (bp, ap, a, b)
-        if key in values:
+        if not all(1 <= i <= m for i in key):
+            raise RMatrixError(f"index out of range 1..{m}: {row}")
+        if key in seen:
             raise RMatrixError(f"duplicate index tuple: {key}")
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise RMatrixError(f"non-finite value: {row}")
-        values[key] = value
-    if values:
-        entries[tuple(np.array(list(values)).T - 1)] = list(values.values())
+        seen.add(key)
+        entries[tuple(i - 1 for i in key)] = value
     return RMatrix(entries)
+
+
+def load_rmatrix(path) -> RMatrix:
+    """Read the file save_rmatrix wrote (see rmatrix_from_dict)."""
+    with open(path) as fh:
+        return rmatrix_from_dict(json.load(fh))
 
 
 _BUILTINS = {

@@ -83,6 +83,9 @@ class TestVerifyR:
         {"m": 2, "entries": [[True, 1, 1, 1, 1.0, 0.0]]},
         [],
         None,
+        {"m": 2, "entries": None},
+        {"m": 2, "entries": "abcdef"},
+        {"m": 2, "entries": [{"a": 1, "b": 2}]},
     ))
     def test_invalid_r_matrix_is_domain_failure(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
@@ -91,6 +94,7 @@ class TestVerifyR:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "indices must" not in err and "object is not" not in err
+        assert "not enough values" not in err and "Error(" not in err
 
     def test_deeply_nested_input_is_usage_error(self, capsys, tmp_path):
         # json's recursive decoder raises RecursionError, not a ValueError
@@ -385,6 +389,7 @@ def test_negative_seed_is_usage_error(capsys, argv):
 ODD = st.one_of(
     st.integers(-2, 10), st.integers(), st.floats(), st.text(max_size=3),
     st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
 )
 INDEX = st.one_of(st.integers(0, 9), ODD)
 VALUE = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), ODD)
@@ -422,6 +427,11 @@ R_COMMANDS = {"verify-r": (), "simulate": (), "twist": ("--trials", "100"),
 @example(command="noise-sweep", data=NON_UNITARY[0])
 @example(command="noise-sweep", data=NON_UNITARY[1])
 @example(command="verify-r", data=NON_UNITARY[2])  # a numpy warning would raise here
+# a wrong JSON type for entries or a row is named, never iterated or unpacked
+@example(command="verify-r", data={"m": 2, "entries": None})
+@example(command="verify-r", data={"m": 2, "entries": "abcdef"})
+@example(command="verify-r", data={"m": 2, "entries": [{"a": 1, "b": 2}]})
+@example(command="verify-r", data=[])
 def test_verify_r_survives_any_json(tmp_path_factory, command, data):
     path = tmp_path_factory.mktemp("fuzz") / "r.json"
     path.write_text(json.dumps(data))
@@ -429,7 +439,43 @@ def test_verify_r_survives_any_json(tmp_path_factory, command, data):
     with redirect_stdout(StringIO()), redirect_stderr(err):
         code = cli.main([command, *R_COMMANDS[command], "--input", str(path)])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert_one_error_line(err.getvalue())
+
+
+def assert_one_error_line(err: str) -> None:
+    """stderr is empty or one `error: ` line that carries no Python exception text."""
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                         and err.endswith("\n")), err
+    for python in ("Error(", "object is not", "indices must", "not enough values", "iterable"):
+        assert python not in err, err
+
+
+TOKEN = st.one_of(st.sampled_from(("a", "b", "a^-1", "b^-1", "", "^-1")), ODD)
+PRESENTATION_JSON = st.one_of(
+    st.fixed_dictionaries(
+        {"generators": st.one_of(st.lists(TOKEN, max_size=3), ODD),
+         "relations": st.one_of(st.lists(st.one_of(st.lists(TOKEN, max_size=4), ODD),
+                                         max_size=3), ODD)},
+        optional={"derived_supplementary": st.one_of(st.booleans(), ODD)}),
+    ODD,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=PRESENTATION_JSON)
+@example(data={"generators": None, "relations": []})
+@example(data={"generators": ["a"], "relations": "abcdef"})
+@example(data={"generators": ["a"], "relations": [{"a": 1}]})
+@example(data={"generators": ["a"], "relations": 3})  # no starred unpacking of a number
+@example(data=[])
+def test_derive_r_survives_any_presentation_json(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "pres.json"
+    path.write_text(json.dumps(data))
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = cli.main(["derive-r", "--order-bound", "16", "--presentation", str(path)])
+    assert code in (0, 1, 2)
+    assert_one_error_line(err.getvalue())
 
 
 @pytest.mark.parametrize("command", ("twist", "noise-sweep", "simulate", "simulate --all-pairs"))
@@ -457,7 +503,8 @@ class TestGaugeCheck:
 
     def test_failed_trapping_fails_the_check(self, capsys, monkeypatch):
         # every eigenvalue 0 misses |G|/d_psi at both endpoints
-        monkeypatch.setattr(cli.gauge_sim, "trapping_check", lambda *args: 0.0)
+        monkeypatch.setattr(cli.gauge_sim, "_trapping_eigenvalues",
+                            lambda state, v, weights: [0.0] * len(weights))
         code, payload, _ = run_json(capsys, "gauge-check", "--group", "S3")
         assert code == 1 and payload["passed"] is False
         assert payload["trapping_deviation"] == 3.0

@@ -77,7 +77,8 @@ class TestEnumeration:
             "generators": list(pres.generators),
             "relations": [list(rel) for rel in pres.relations],
         }))
-        assert ge.load_presentation(path) == pres
+        with open(path) as fh:
+            assert ge.presentation_from_dict(json.load(fh)) == pres
 
     @pytest.mark.parametrize("data", ({"relations": []}, {"generators": 3, "relations": []},
                                       {"generators": ["a"], "relations": [["a", 2]]},

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestConstructors:
         assert rm.from_map(ints, 2).entries.dtype == np.complex128
         assert rm.RMatrix(ints.reshape(2, 2, 2, 2)).entries.dtype == np.complex128
         assert ints.flags.writeable  # the caller's array is copied, not frozen
-        loaded = rm.load_rmatrix({"m": 1, "entries": [[1, 1, 1, 1, -1, 0]]})
+        loaded = rm.rmatrix_from_dict({"m": 1, "entries": [[1, 1, 1, 1, -1, 0]]})
         assert loaded.entries.dtype == np.complex128 and loaded.entries[0, 0, 0, 0] == -1
 
     def test_bad_sign_rejected(self):
@@ -297,52 +298,60 @@ class TestSerialization:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(rm.RMatrixError):
-            rm.load_rmatrix({"m": 2, "entries": [[3, 1, 1, 1, 1.0, 0.0]]})
+            rm.rmatrix_from_dict({"m": 2, "entries": [[3, 1, 1, 1, 1.0, 0.0]]})
 
     def test_rejects_duplicates(self):
         rows = [[1, 1, 1, 1, 1.0, 0.0], [1, 1, 1, 1, 0.5, 0.0]]
         with pytest.raises(rm.RMatrixError):
-            rm.load_rmatrix({"m": 2, "entries": rows})
+            rm.rmatrix_from_dict({"m": 2, "entries": rows})
 
     def test_rejects_malformed(self, tmp_path):
         with pytest.raises(rm.RMatrixError):
-            rm.load_rmatrix({"entries": []})
+            rm.rmatrix_from_dict({"entries": []})
         path = tmp_path / "r.json"
         for top in ("[]", "null"):
             path.write_text(top)
             with pytest.raises(rm.RMatrixError, match="top level must be a JSON object"):
                 rm.load_rmatrix(path)
         with pytest.raises(rm.RMatrixError):
-            rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1.0]]})
+            rm.rmatrix_from_dict({"m": 2, "entries": [[1, 1, 1, 1.0]]})
         for entries in (None, [None], [[1, None, 1, 1, 1.0, 0.0]],
                         [[1, 1, 1, float("inf"), 1.0, 0.0]], [[1, 1, 1, 1, [], 0.0]]):
             with pytest.raises(rm.RMatrixError):
-                rm.load_rmatrix({"m": 2, "entries": entries})
+                rm.rmatrix_from_dict({"m": 2, "entries": entries})
+        # a value of the wrong JSON type is named, never iterated or unpacked
+        for entries, named in ((None, "entries must be a JSON array, got null"),
+                               ("abcdef", "entries must be a JSON array, got \"abcdef\""),
+                               ({"a": 1}, "entries must be a JSON array, got {\"a\": 1}"),
+                               ([{"a": 1, "b": 2}], "not a JSON array of six numbers"),
+                               (["abcdef"], "not a JSON array of six numbers")):
+            with pytest.raises(rm.RMatrixError, match=re.escape(named)):
+                rm.rmatrix_from_dict({"m": 2, "entries": entries})
         # int() would truncate these to m = 2 or index 1
         for m in (2.9, True, "2"):
             with pytest.raises(rm.RMatrixError, match="not an integer"):
-                rm.load_rmatrix({"m": m, "entries": []})
+                rm.rmatrix_from_dict({"m": m, "entries": []})
         for index in (1.7, True, "1"):
             with pytest.raises(rm.RMatrixError, match="not an integer"):
-                rm.load_rmatrix({"m": 2, "entries": [[index, 1, 1, 1, 1.0, 0.0]]})
+                rm.rmatrix_from_dict({"m": 2, "entries": [[index, 1, 1, 1, 1.0, 0.0]]})
         # float() would read these as 1.0 and 0.0
         for row in ([1, 1, 1, 1, "1.0", "0"], [1, 1, 1, 1, True, False]):
             with pytest.raises(rm.RMatrixError, match="not a number"):
-                rm.load_rmatrix({"m": 2, "entries": [row]})
+                rm.rmatrix_from_dict({"m": 2, "entries": [row]})
 
     @pytest.mark.parametrize("m", (0, -5, rm.MAX_M + 1, 1000))
     def test_rejects_m_outside_cap(self, m):
         with pytest.raises(rm.RMatrixError, match="m must lie in"):
-            rm.load_rmatrix({"m": m, "entries": []})
+            rm.rmatrix_from_dict({"m": m, "entries": []})
 
     @pytest.mark.parametrize("value", ("nan", "inf", float("nan"), float("-inf")))
     def test_rejects_non_finite(self, value):
         # a string is no JSON number, so it fails before the finiteness check
         match = "not a number" if isinstance(value, str) else "non-finite"
         with pytest.raises(rm.RMatrixError, match=match):
-            rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, value, 0.0]]})
+            rm.rmatrix_from_dict({"m": 2, "entries": [[1, 1, 1, 1, value, 0.0]]})
         with pytest.raises(rm.RMatrixError, match=match):
-            rm.load_rmatrix({"m": 2, "entries": [[1, 1, 1, 1, 1.0, value]]})
+            rm.rmatrix_from_dict({"m": 2, "entries": [[1, 1, 1, 1, 1.0, value]]})
 
     @pytest.mark.parametrize("name", ("paper2d", "paper3d", "braid-fixture", "gauged-paper3d"))
     def test_roundtrip_is_identical(self, tmp_path, name):
@@ -361,7 +370,7 @@ class TestSerialization:
 
     def test_large_integer_value_not_snapped(self, tmp_path):
         # 1e300 is integer-valued but no int64: it loads and round-trips as is
-        r = rm.load_rmatrix({"m": 1, "entries": [[1, 1, 1, 1, 1e300, 0.0]]})
+        r = rm.rmatrix_from_dict({"m": 1, "entries": [[1, 1, 1, 1, 1e300, 0.0]]})
         assert r.entries[0, 0, 0, 0] == 1e300
         path = tmp_path / "r.json"
         rm.save_rmatrix(r, path)
