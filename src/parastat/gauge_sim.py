@@ -24,11 +24,7 @@ whose element on that edge is the identity) found with one table lookup per
 edge at the vertex: the vertex projector, <A_v> and the trapping check sort
 N keys for N configurations and write or read |G| members per orbit.  The
 ground state solves each plaquette's closing edge from its other edges and
-so builds |G|^(E-P) configurations for E edges and P plaquettes.  gauge_check
-builds each Wilson path's transport and each trapping vertex's orbit table
-once: on gamma128 with the cap at 2^21 (2,097,152 rows, d_psi = 8, 37
-components) its deformation took 0.15 s against 17 s for 64 per-index calls,
-its trapping 4.0 s against 12.6 s for 37 (2 vCPUs, one BLAS thread).
+so builds |G|^(E-P) configurations for E edges and P plaquettes.
 
 gauge_check is the whole validation of one group on one of PATCHES, shared
 by the gauge-check subcommand and the acceptance suite: projector
@@ -452,18 +448,11 @@ def trapping_check(state: GaugeState, v: int, phi: Irrep, c_index: int) -> compl
     On a two-excitation Wilson state with open indices (a, b), the result is
     |G|/d_phi at the path's end vertex when (phi, c) = (psi, a), at the
     start vertex when (phi, c) = (conjugate psi, b), and 0 otherwise.
-    """
-    return _trapping_eigenvalues(state, v, [phi.matrices[:, c_index, c_index]])[0]
-
-
-def _trapping_eigenvalues(state: GaugeState, v: int, weights) -> list[complex]:
-    """trapping_check's eigenvalue for each w[g] = [phi(g)]_{cc} in weights,
-    all from one orbit table of state at v.
 
     Configuration c = L_v^h key, with h = g*^-1 from _orbit_keys, sits at
-    A[o, h] for its orbit o.  T maps it to sum_k w(k h^-1) L_v^k key, so T
-    acts as A @ W with W[h, k] = w(k h^-1): one (orbits x |G|) @ (|G| x |G|)
-    product per weight vector, and no state is built.
+    A[o, h] for its orbit o.  T maps it to sum_k w(k h^-1) L_v^k key with
+    w(g) = [phi(g)]_{cc}, so T acts as A @ W with W[h, k] = w(k h^-1): one
+    (orbits x |G|) @ (|G| x |G|) product, and no state is built.
     """
     G, n = state.group, state.group.order
     nrm2 = _norm2(state)
@@ -474,16 +463,14 @@ def _trapping_eigenvalues(state: GaugeState, v: int, weights) -> list[complex]:
         raise GaugeError(f"support cap exceeded: {len(reps) * n} configurations")
     A = np.zeros((len(reps), n), dtype=np.complex128)
     A[np.searchsorted(reps, keys), G.inv[g]] = state.coeffs
-    quotients = G.mult[np.arange(n), G.inv[:, None]]  # [h, k] -> k h^-1
-    lams = []
-    for w in weights:
-        out = A @ np.where(np.abs(w) > 1e-15, w, 0)[quotients]
-        lam = complex(np.vdot(A, out)) / nrm2
-        residual = np.linalg.norm(out - lam * A)
-        if not residual <= 1e-8 * max(1.0, abs(lam)) * np.sqrt(nrm2) + 1e-8:
-            raise GaugeError("not a two-excitation Wilson state")
-        lams.append(lam)
-    return lams
+    weights = phi.matrices[:, c_index, c_index]
+    weights = np.where(np.abs(weights) > 1e-15, weights, 0)
+    out = A @ weights[G.mult[np.arange(n), G.inv[:, None]]]
+    lam = complex(np.vdot(A, out)) / nrm2
+    residual = np.linalg.norm(out - lam * A)
+    if not residual <= 1e-8 * max(1.0, abs(lam)) * np.sqrt(nrm2) + 1e-8:
+        raise GaugeError("not a two-excitation Wilson state")
+    return lam
 
 
 def _mass(coeffs: np.ndarray) -> float:
@@ -586,10 +573,7 @@ def gauge_check(G: FiniteGroup, patch: str = "2x2", seed: int = 0) -> dict:
     residuals and deformation at most 1e-10, ground-state and unexcited
     values within 1e-10 of 1, both endpoints below 1 - 1e-6 and trapping
     within 1e-8.  A group whose ground state exceeds SUPPORT_CAP raises
-    GaugeError before any projector check runs.  The values are those of the
-    per-index calls, from each path's transport and each trapping vertex's
-    orbit table built once: gamma128 with SUPPORT_CAP at 2^21 takes 9.4 s,
-    where the per-index calls took 29.8 s (360 MB peak RSS both).
+    GaugeError before any projector check runs.
     """
     lat, path, homotopic, (start, end) = PATCHES[patch]
     # the ground state refuses oversized groups at once; the projector checks
@@ -598,22 +582,19 @@ def gauge_check(G: FiniteGroup, patch: str = "2x2", seed: int = 0) -> dict:
     residuals = commutator_residuals(G, lat, seed=seed)
     va, pa = vertex_expectations(g0), plaquette_expectations(g0)
     psi = wilson_irrep(G)
-    along, over = _path_product(g0, path), _path_product(g0, homotopic)
-    excited = g0._pruned(g0.codes, g0.coeffs * psi.matrices[along, 0, 0])
+    line, moved = WilsonLine(psi, path), WilsonLine(psi, homotopic)
+    excited = apply_wilson_line(g0, line, 0, 0)
     vexc = vertex_expectations(excited)
-    # verify_deformation for every (a, b): where both transports agree, so do the lines
-    differ = along != over
-    lines = [g0.coeffs[differ, None, None] * psi.matrices[k[differ]] for k in (along, over)]
-    lines = [np.where(np.abs(x) > PRUNE, x, 0) for x in lines]
-    deform = float(np.max(np.linalg.norm(lines[0] - lines[1], axis=0)))
+    deform = float(np.max([verify_deformation(g0, line, moved, a, b)
+                           for a in range(psi.dim) for b in range(psi.dim)]))
     # |G|/d_psi where (phi, c) is (psi, 0) at the end or (conjugate psi, 0) at
     # the start, 0 for every other component at the end
     want = G.order / psi.dim
-    parts = [(phi, c) for phi in irreps(G) for c in range(phi.dim)]
-    lams = _trapping_eigenvalues(excited, end, [phi.matrices[:, c, c] for phi, c in parts])
-    lams += _trapping_eigenvalues(excited, start, [conjugate_irrep(psi).matrices[:, 0, 0]])
-    wants = [want if (phi.index, c) == (psi.index, 0) else 0.0 for phi, c in parts] + [want]
-    trapping = max(abs(lam - x) for lam, x in zip(lams, wants))
+    trapped = [abs(trapping_check(excited, end, phi, c)
+                   - (want if (phi.index, c) == (psi.index, 0) else 0.0))
+               for phi in irreps(G) for c in range(phi.dim)]
+    trapped.append(abs(trapping_check(excited, start, conjugate_irrep(psi), 0) - want))
+    trapping = float(np.max(trapped))
     passed = (
         all(r <= 1e-10 for r in residuals.values())
         and all(abs(x - 1.0) <= 1e-10 for x in va + pa)

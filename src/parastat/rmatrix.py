@@ -29,7 +29,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Largest m that load_rmatrix and builtin_r accept.  The braid check works on
+# Largest m that rmatrix_from_dict and builtin_r accept.  The braid check works on
 # m^3 x m^3 matrices, O(m^6) memory and O(m^9) time: 512 x 512 at m = 8.
 MAX_M = 8
 
@@ -289,8 +289,9 @@ def rmatrix_from_dict(data) -> RMatrix:
     except TypeError as exc:
         raise RMatrixError(f"malformed R-matrix file: m is {exc}") from exc
     if not isinstance(rows, list):
-        raise RMatrixError("malformed R-matrix file: entries must be a JSON array, got "
-                           + json.dumps(rows, default=repr)[:40])
+        kind = {dict: "an object", str: "a string", bool: "a boolean", int: "a number",
+                float: "a number", type(None): "null"}.get(type(rows), type(rows).__name__)
+        raise RMatrixError(f"malformed R-matrix file: entries must be a JSON array, got {kind}")
     if not 1 <= m <= MAX_M:
         raise RMatrixError(f"m must lie in 1..{MAX_M}, got {m}")
     entries = np.zeros((m, m, m, m), dtype=np.complex128)

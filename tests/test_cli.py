@@ -503,8 +503,7 @@ class TestGaugeCheck:
 
     def test_failed_trapping_fails_the_check(self, capsys, monkeypatch):
         # every eigenvalue 0 misses |G|/d_psi at both endpoints
-        monkeypatch.setattr(cli.gauge_sim, "_trapping_eigenvalues",
-                            lambda state, v, weights: [0.0] * len(weights))
+        monkeypatch.setattr(cli.gauge_sim, "trapping_check", lambda *args: 0.0)
         code, payload, _ = run_json(capsys, "gauge-check", "--group", "S3")
         assert code == 1 and payload["passed"] is False
         assert payload["trapping_deviation"] == 3.0

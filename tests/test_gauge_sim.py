@@ -216,73 +216,6 @@ class TestTrapping:
         assert abs(gs.trapping_check(exc, 0, gs.conjugate_irrep(psi), 0) - want) < 1e-8
 
 
-class TestGaugeCheck:
-    def test_builds_each_holonomy_and_orbit_table_once(self, small_groups, monkeypatch):
-        # D4's psi is 2-dimensional and its irreps have 6 components: per
-        # (a, b) and per (phi, c) the check would build 8 deformation Wilson
-        # states and 7 trapping orbit tables
-        G = small_groups["D4"]
-        lat, path, homotopic, (start, end) = gs.PATCHES["2x2"]
-        routes, keyed = [], []
-
-        def path_product(state, route):
-            routes.append(tuple(route))
-            return build(state, route)
-
-        def orbit_keys(state, v, action):
-            keyed.append(v)
-            return key(state, v, action)
-
-        build, key = gs._path_product, gs._orbit_keys
-        monkeypatch.setattr(gs, "_path_product", path_product)
-        monkeypatch.setattr(gs, "_orbit_keys", orbit_keys)
-        gs.commutator_residuals(G, lat, seed=0)
-        projector_keys = len(keyed)
-        keyed.clear()
-        report = gs.gauge_check(G, "2x2", seed=0)
-        assert routes.count(path) == routes.count(homotopic) == 1
-        # the projector checks, <A_v> on the ground state and on the excited
-        # state, then one table per trapping vertex
-        assert len(keyed) == projector_keys + 2 * lat.n_vertices + 2
-        monkeypatch.undo()
-
-        # the report is the per-index evaluation's, number for number
-        psi, g0 = gs.wilson_irrep(G), gs.ground_state(G, lat)
-        line, moved = gs.WilsonLine(psi, path), gs.WilsonLine(psi, homotopic)
-        excited = gs.apply_wilson_line(g0, line, 0, 0)
-        want = G.order / psi.dim
-        trapped = [abs(gs.trapping_check(excited, end, phi, c)
-                       - (want if (phi.index, c) == (psi.index, 0) else 0.0))
-                   for phi in ge.irreps(G) for c in range(phi.dim)]
-        trapped.append(abs(gs.trapping_check(excited, start, gs.conjugate_irrep(psi), 0) - want))
-        assert report["trapping_deviation"] == float(np.max(trapped))
-        assert report["deformation_deviation"] == float(np.max(
-            [gs.verify_deformation(g0, line, moved, a, b)
-             for a in range(psi.dim) for b in range(psi.dim)]))
-        assert report["wilson_endpoint_expectations"] == gs.vertex_expectations(excited)
-        assert report["passed"] is True
-
-    @pytest.mark.parametrize("name", ("S3", "D4"))
-    def test_deformation_off_shell_matches_per_index(self, small_groups, patch, name,
-                                                     monkeypatch):
-        # on a state that is not flat the two routes disagree: gauge_check's
-        # deviation is still verify_deformation's largest over every (a, b)
-        G = small_groups[name]
-        psi = gs.wilson_irrep(G)
-        s = gs.GaugeState(G, patch, random_amps(G, patch, seed=5)).normalized()
-        monkeypatch.setattr(gs, "ground_state", lambda G, lat: s)
-        monkeypatch.setattr(gs, "_trapping_eigenvalues",
-                            lambda state, v, weights: [0.0] * len(weights))
-        report = gs.gauge_check(G, "2x2")
-        _, path, homotopic, _ = gs.PATCHES["2x2"]
-        line, moved = gs.WilsonLine(psi, path), gs.WilsonLine(psi, homotopic)
-        want = max(gs.verify_deformation(s, line, moved, a, b)
-                   for a in range(psi.dim) for b in range(psi.dim))
-        assert want > 1e-3
-        assert report["deformation_deviation"] == pytest.approx(want, rel=1e-12)
-        assert report["passed"] is False
-
-
 class TestStateOps:
     def test_zero_state_rejected(self, small_groups, patch):
         with pytest.raises(gs.GaugeError, match="zero"):

@@ -321,8 +321,9 @@ class TestSerialization:
                 rm.rmatrix_from_dict({"m": 2, "entries": entries})
         # a value of the wrong JSON type is named, never iterated or unpacked
         for entries, named in ((None, "entries must be a JSON array, got null"),
-                               ("abcdef", "entries must be a JSON array, got \"abcdef\""),
-                               ({"a": 1}, "entries must be a JSON array, got {\"a\": 1}"),
+                               ("abcdef", "entries must be a JSON array, got a string"),
+                               ({"a": 1}, "entries must be a JSON array, got an object"),
+                               (2, "entries must be a JSON array, got a number"),
                                ([{"a": 1, "b": 2}], "not a JSON array of six numbers"),
                                (["abcdef"], "not a JSON array of six numbers")):
             with pytest.raises(rm.RMatrixError, match=re.escape(named)):
