@@ -5,12 +5,13 @@
 Each tree is a checkout of this repository.  Every run happens in a fresh
 directory per tree, with PYTHONPATH pointing at that tree's src/ (and
 perfbench/ for the API runs), so relative input paths, and the input
-digests that name them, agree.  The reports, the --out-r files and the exit
-codes must agree byte for byte once each report's "timestamp" line is
-dropped.  Prints one line per run and exits 1 if any run differs.  A run that
-differs but whose two outputs parse as JSON of the same structure (the same
-keys, lengths and exit code, numbers where the other has numbers) also gets
-the largest absolute difference between its numbers and where it occurs.
+digests that name them, agree.  The reports, the files a run writes (--out
+and --out-r) and the exit codes must agree byte for byte once each report's
+"timestamp" line is dropped.  Prints one line per run and exits 1 if any
+run differs.  A run that differs but whose two outputs parse as JSON of the
+same structure (the same keys, lengths and exit code, numbers where the
+other has numbers) also gets the largest absolute difference between its
+numbers and where it occurs.
 """
 
 from __future__ import annotations
@@ -139,6 +140,15 @@ def runs():
     for name in ("deep.json", "top_array.json", "latin1.json"):
         yield (f"derive-r --presentation {name}",
                ["-m", "parastat.cli", "derive-r", "--presentation", name], [])
+    # the report writer: CSV to stdout, then a JSON and a CSV --out file
+    yield ("--format csv noise-sweep --builtin paper3d",
+           ["-m", "parastat.cli", "--format", "csv", "noise-sweep", "--builtin", "paper3d"], [])
+    yield ("--out report.json verify-r --builtin paper3d",
+           ["-m", "parastat.cli", "--out", "report.json", "verify-r", "--builtin", "paper3d"],
+           ["report.json"])
+    yield ("--format csv --out curve.csv noise-sweep --builtin paper3d --trials 100",
+           ["-m", "parastat.cli", "--format", "csv", "--out", "curve.csv", "noise-sweep",
+            "--builtin", "paper3d", "--trials", "100"], ["curve.csv"])
 
 
 def outputs(tree: Path, work: Path):
@@ -154,7 +164,7 @@ def outputs(tree: Path, work: Path):
         blob = b"exit %d\n" % proc.returncode + TIMESTAMP.sub(b"", proc.stdout) + proc.stderr
         for name in files:  # a failed run may not have written its file
             if (work / name).exists():
-                blob += (work / name).read_bytes()
+                blob += TIMESTAMP.sub(b"", (work / name).read_bytes())
         result[label] = blob
     return result
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify-r, derive-r, simulate, twist, noise-sweep, gauge-check.
-Exit codes: 0 success, 1 domain failure (a check failed or the game was
-lost), 2 usage or parse error.  Every JSON artifact embeds a run manifest
+Each returns its report and verdict and writes nothing; main alone writes
+the report and picks the exit code: 0 success, 1 domain failure (a check
+failed or the game was lost), 2 usage or parse error, a report that cannot
+be written included.  Every JSON artifact embeds a run manifest
 (command, resolved arguments, seed, version, timestamp, input digests);
 apart from the timestamp, reruns with the same arguments are byte-identical.
 Each random draw is seeded, so reruns reproduce: every draw comes from one
@@ -28,6 +30,7 @@ import time
 import numpy as np
 
 from . import __version__, game, gauge_sim, group_engine, parafock, rmatrix
+from .group_engine import ORDER_BOUND_MAX
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 # At exit the interpreter's final collections walk the ~22k objects that the
@@ -105,25 +108,21 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, payload: dict, rows=None) -> None:
-    """Write the report as JSON (default) or, under --format csv, the CSV rows."""
-    out = args.out
-    try:
-        target = open(out, "w", newline="") if out else sys.stdout
-    except OSError as exc:
-        raise CliError(f"cannot write report: {exc}") from exc
+def _emit(args, payload: dict) -> None:
+    """Write the report as JSON (default) or, under --format csv, its curve."""
+    target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
             import csv
 
-            writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(target, fieldnames=list(payload["curve"][0]))
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(payload["curve"])
         else:
             target.write(json.dumps(_jsonable(payload), indent=1, sort_keys=True,
                                     allow_nan=False) + "\n")
     finally:
-        if out:
+        if args.out:
             target.close()
 
 
@@ -131,7 +130,7 @@ def _emit(args, payload: dict, rows=None) -> None:
 # subcommands
 
 
-def cmd_verify_r(args) -> int:
+def cmd_verify_r(args) -> tuple[dict, bool]:
     r, digests = _load_r(args)
     reports = _checks(r, args.tol)
     factors = rmatrix.is_trivial_product(r, max(args.tol, 1e-10))
@@ -144,31 +143,21 @@ def cmd_verify_r(args) -> int:
         "nontrivial": nontrivial,
         "spectral_invariants": {"trace": inv["trace"], "eigenvalues": inv["eigenvalues"]},
     }
-    _emit(args, payload)
-    ok = all(rep.passed for rep in reports) and nontrivial
-    return EXIT_OK if ok else EXIT_FAIL
+    return payload, all(rep.passed for rep in reports) and nontrivial
 
 
-def cmd_derive_r(args) -> int:
+def cmd_derive_r(args) -> tuple[dict, bool]:
     if args.presentation:
         data, digests = _read_json(args.presentation, "presentation")
         pres = group_engine.presentation_from_dict(data)
     else:
         pres, digests = group_engine.gamma_presentation(), {}
-    # enumeration defines up to 4 * order_bound cosets of 2k int64 columns for k
-    # generators; their table gets the multiplication table's budget
-    k, budget = len(pres.generators), 8 * ORDER_BOUND_MAX ** 2
-    if 4 * args.order_bound * 2 * k * 8 > budget:
-        raise group_engine.GroupError(f"{k} generators: the coset table at --order-bound "
-                                      f"{args.order_bound} would exceed {budget >> 20} MiB")
     G = group_engine.enumerate_group(pres, args.order_bound)
     payload = {"manifest": _manifest(args, digests), "group_order": G.order}
     try:
         inter, derived = group_engine.find_para_pair(G)
     except group_engine.GroupError as exc:
-        payload["error"] = str(exc)
-        _emit(args, payload)
-        return EXIT_FAIL
+        return {**payload, "error": str(exc)}, False
     ref = rmatrix.paper_r(+1)
     inv_d = rmatrix.spectral_invariants(derived)
     inv_match = rmatrix.invariants_close(inv_d, rmatrix.spectral_invariants(ref))
@@ -187,12 +176,10 @@ def cmd_derive_r(args) -> int:
             rmatrix.save_rmatrix(derived, args.out_r)
         except OSError as exc:
             raise CliError(f"cannot write R-matrix: {exc}") from exc
-    _emit(args, payload)
-    ok = inv_match and all(check["passed"] for check in payload["checks"])
-    return EXIT_OK if ok else EXIT_FAIL
+    return payload, inv_match and all(check["passed"] for check in payload["checks"])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, bool]:
     r, digests = _load_r(args)
     try:
         cfg = game.GameConfig(L=args.L, r=r, a=args.a, b=args.b, seed=args.seed, r0=args.r0)
@@ -210,18 +197,16 @@ def cmd_simulate(args) -> int:
             "pairs": len(table),
             "table": {f"{a},{b}": v for (a, b), v in table.items()},
         })
-        _emit(args, payload)
-        return EXIT_OK if wins == len(table) else EXIT_FAIL
+        return payload, wins == len(table)
     transcript, report = game.run_protocol(cfg)
     payload.update({
         "transcript": transcript.as_dict(),
         "report": report.as_dict(),
     })
-    _emit(args, payload)
-    return EXIT_OK if report.success else EXIT_FAIL
+    return payload, report.success
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> tuple[dict, bool]:
     r, digests = _load_r(args)
     result = game.twist_experiment(r, args.n_max, args.trials, args.seed)
     payload = {
@@ -230,30 +215,24 @@ def cmd_twist(args) -> int:
         "rho_b_n_deviation": result["rho_b_n_deviation"],
         "n_support": result["n_support"],
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_noise_sweep(args) -> int:
+def cmd_noise_sweep(args) -> tuple[dict, bool]:
     r, digests = _load_r(args)
     curve = game.noise_experiment(r, args.trials, args.seed, args.p,
                                   args.noise_d, args.noise_l)
-    payload = {"manifest": _manifest(args, digests), "curve": curve}
-    rows = [{"distance": pt["distance"], "success_rate": pt["success_rate"]}
-            for pt in curve]
-    _emit(args, payload, rows=rows)
-    return EXIT_OK
+    return {"manifest": _manifest(args, digests), "curve": curve}, True
 
 
-def cmd_gauge_check(args) -> int:
+def cmd_gauge_check(args) -> tuple[dict, bool]:
     if args.group not in group_engine.NAMED_PRESENTATIONS:
         raise CliError(f"unknown group {args.group!r}")
     G = group_engine.enumerate_group(group_engine.NAMED_PRESENTATIONS[args.group]())
     report = gauge_sim.gauge_check(G, args.patch, seed=args.seed)
     payload = {"manifest": _manifest(args), "group": args.group, "group_order": G.order,
                **report}
-    _emit(args, payload)
-    return EXIT_OK if report["passed"] else EXIT_FAIL
+    return payload, report["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +268,6 @@ CHAIN_L_MAX = 10_000
 # default 2000 trials and m = 4, so about 0.1 s at this bound; at
 # NOISE_TRIALS_MAX and m = 8 a distance takes under 2 s (2-vCPU Xeon).
 NOISE_L_MAX = 100
-# Largest derive-r --order-bound.  The group's multiplication table takes
-# 8 * order^2 bytes: 128 MiB at this bound.
-ORDER_BOUND_MAX = 4096
 
 
 def _int_at_least(low: int, at_most: float = float("inf")):
@@ -391,16 +367,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader closed stdout early.  Point stdout at devnull so the
-        # interpreter's final flush cannot fail, and exit without a traceback.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_FAIL
+        payload, ok = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -408,6 +375,20 @@ def main(argv=None) -> int:
             parafock.FockError, rmatrix.RMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    try:
+        _emit(args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush cannot fail, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
+    except OSError as exc:  # a full disk, or an --out path that cannot be opened
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

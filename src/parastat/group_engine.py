@@ -36,6 +36,10 @@ _MAX_RETRIES = 12
 # characters takes one n x n gather of the eigenvectors per class, k of them
 # in all (an abelian group has k = n = |G|, so 256 gathers of 1 MiB here).
 MAX_CLASSES = 256
+# Largest order_bound enumerate_group accepts.  The group's multiplication
+# table takes 8 * order^2 bytes: 128 MiB at this bound, which also budgets the
+# coset table of 4 * order_bound cosets of 2k int64 columns for k generators.
+ORDER_BOUND_MAX = 4096
 # Entries held in one block of batched work, 2^16 (1 MiB as complex128): a
 # chunk of _Stream draws, a block of the sweeps' outcome rows (game), or one
 # batched gather of irreps, which takes one item when an item is larger.
@@ -331,13 +335,15 @@ def _coset_table(pres: GroupPresentation, max_cosets: int):
     return table, p
 
 
-def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> FiniteGroup:
+def enumerate_group(pres: GroupPresentation, order_bound: int = 2048) -> FiniteGroup:
     """Tabulate the group defined by pres via coset enumeration.
 
     The enumeration may define at most 4 * order_bound cosets, so a group
     that is infinite or far above the bound fails fast.  Raises
     GroupError("group too large or infinite under bound") when that
-    allowance runs out or the final order exceeds order_bound.
+    allowance runs out or the final order exceeds order_bound.  Before
+    enumerating, raises GroupError when order_bound exceeds ORDER_BOUND_MAX
+    or the coset table could outgrow the multiplication table's budget.
 
     Elements get the standardized coset-table numbering: scanning elements
     in order and, for each, the columns g0, g0^-1, g1, g1^-1, ..., every
@@ -347,6 +353,12 @@ def enumerate_group(pres: GroupPresentation, order_bound: int = 100000) -> Finit
     """
     k = len(pres.generators)
     w = 2 * k
+    budget = 8 * ORDER_BOUND_MAX ** 2
+    if order_bound > ORDER_BOUND_MAX:
+        raise GroupError(f"order bound {order_bound} exceeds {ORDER_BOUND_MAX}")
+    if 4 * order_bound * w * 8 > budget:
+        raise GroupError(f"{k} generators: the coset table at order bound {order_bound} "
+                         f"would exceed {budget >> 20} MiB")
     table, p = _coset_table(pres, 4 * order_bound)
     index = {0: 0}  # live coset -> standardized element index
     order = [0]

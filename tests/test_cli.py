@@ -179,6 +179,10 @@ class TestManifest:
     ("--format", "csv", "--out", "{dir}/missing/x.csv",
      "noise-sweep", "--builtin", "paper3d", "--trials", "10"),
     ("derive-r", "--out-r", "{dir}/missing/r.json"),
+    # a full disk; where /dev/full does not exist the open fails instead
+    ("--out", "/dev/full", "verify-r", "--builtin", "paper3d"),
+    ("--format", "csv", "--out", "/dev/full",
+     "noise-sweep", "--builtin", "paper3d", "--trials", "10"),
 ))
 def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
@@ -248,7 +252,7 @@ class TestDeriveR:
         pres = tmp_path / "free.json"
         pres.write_text(json.dumps({"generators": [f"g{i}" for i in range(2000)],
                                     "relations": []}))
-        monkeypatch.setattr(ge, "enumerate_group", never)
+        monkeypatch.setattr(ge, "_coset_table", never)
         code, out, err = run(capsys, "derive-r", "--presentation", str(pres))
         assert code == 1 and out == ""
         assert err.startswith("error: 2000 generators") and "Traceback" not in err
@@ -635,6 +639,25 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", (
+    ("verify-r", "--builtin", "paper3d"),
+    ("simulate", "--builtin", "paper3d", "--L", "2000"),  # larger than stdout's buffer
+    ("--format", "csv", "noise-sweep", "--builtin", "paper3d", "--trials", "10"),
+))
+def test_full_stdout_is_usage_error_without_traceback(argv):
+    import parastat
+
+    src = Path(parastat.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "parastat.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write report: ")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

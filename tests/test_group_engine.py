@@ -55,6 +55,18 @@ class TestEnumeration:
         with pytest.raises(ge.GroupError, match="too large"):
             ge.enumerate_group(ge.gamma_presentation(), order_bound=64)
 
+    def test_table_budget_refused_before_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("_coset_table ran past the table budget")
+
+        monkeypatch.setattr(ge, "_coset_table", never)
+        with pytest.raises(ge.GroupError, match=f"exceeds {ge.ORDER_BOUND_MAX}"):
+            ge.enumerate_group(ge.z2_presentation(), order_bound=ge.ORDER_BOUND_MAX + 1)
+        # 4 * 4096 cosets x 2 * 513 int64 columns is just over 8 * 4096^2 bytes
+        free = ge.GroupPresentation(tuple(f"g{i}" for i in range(513)), ())
+        with pytest.raises(ge.GroupError, match="^513 generators: the coset table at"):
+            ge.enumerate_group(free, order_bound=ge.ORDER_BOUND_MAX)
+
     def test_infinite_group_fails_fast(self):
         infinite = ge.GroupPresentation(("a", "b"), (("a", "a"),))
         start = time.perf_counter()
@@ -100,10 +112,10 @@ def _sha256(arr):
 
 
 FIXTURE_GROUPS = {
-    "Z2": (ge.z2_presentation, 100000),
-    "S3": (ge.s3_presentation, 100000),
-    "D4": (ge.d4_presentation, 100000),
-    "gamma128": (ge.gamma_presentation, 100000),
+    "Z2": (ge.z2_presentation, ge.ORDER_BOUND_MAX),
+    "S3": (ge.s3_presentation, ge.ORDER_BOUND_MAX),
+    "D4": (ge.d4_presentation, ge.ORDER_BOUND_MAX),
+    "gamma128": (ge.gamma_presentation, ge.ORDER_BOUND_MAX),
     "gamma256": (_loose_gamma, 1024),
 }
 
